@@ -20,11 +20,16 @@
 /// cursors, which is observationally equivalent to the paper's per-pair
 /// queues while storing each vector clock once.
 ///
-/// Storage note: entries are reclaimed once every releaser cursor has passed
-/// them. A thread that releases the lock for the first time after such a
-/// reclamation starts at the earliest retained entry; this matches lazily
-/// instantiating per-pair queues for pairs whose releaser actually releases
-/// the lock, and is documented in DESIGN.md.
+/// Storage (docs/architecture.md, "Rule-(b) queues"): each acquirer's
+/// history lives in fixed-size blocks of entries. A cursor constrains
+/// reclamation once its releaser has drained that acquirer; entries every
+/// such cursor has passed are freed a whole block at a time, at most once
+/// per ReclaimPeriod pushes to that acquirer's log. Freed blocks go to a
+/// per-lock free list, so a recycled entry's clocks keep their heap buffers
+/// and a release allocates nothing in steady state. A thread that drains
+/// an acquirer for the first time after a reclamation starts at the
+/// earliest retained entry; this matches lazily instantiating per-pair
+/// queues for pairs whose releaser actually releases the lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,18 +39,24 @@
 #include "support/Compiler.h"
 #include "support/VectorClock.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 namespace st {
 namespace detail {
 
-inline bool ruleBOrdered(const VectorClock &Acq, const VectorClock &C) {
-  return Acq.leq(C);
+/// True iff the acquire by \p U at time \p Acq is ordered before \p C.
+/// The full-clock check tests U's own entry first: a queued acquire that is
+/// not yet ordered almost always fails there, so the common blocked front
+/// costs one compare instead of a clock-wide scan.
+inline bool ruleBOrdered(const VectorClock &Acq, const VectorClock &C,
+                         ThreadId U) {
+  return Acq.get(U) <= C.get(U) && Acq.leq(C);
 }
-inline bool ruleBOrdered(Epoch Acq, const VectorClock &C) {
+inline bool ruleBOrdered(Epoch Acq, const VectorClock &C, ThreadId) {
   return C.epochLeq(Acq);
 }
 inline size_t ruleBTimeFootprint(const VectorClock &Acq) {
@@ -69,20 +80,21 @@ public:
       : PerReleaserCursors(PerReleaserCursors) {}
 
   /// Records acq(m) by \p U at time \p T.
-  void onAcquire(ThreadId U, AcqTimeT T) {
-    AcquirerLog &L = logOf(U);
-    L.Entries.push_back(Entry{std::move(T), VectorClock(), 0, false});
+  void onAcquire(ThreadId U, const AcqTimeT &T) {
+    Entry &E = push(logOf(U));
+    E.Acq = T;
+    E.RelIdx = NotReleased;
   }
 
   /// Records rel(m) by \p U at time \p C (trace index \p RelIdx), completing
   /// the entry its acquire pushed.
   void onRelease(ThreadId U, const VectorClock &C, uint64_t RelIdx) {
     AcquirerLog &L = logOf(U);
-    assert(!L.Entries.empty() && !L.Entries.back().Released &&
+    assert(L.End > L.Base && L.at(L.End - 1).RelIdx == NotReleased &&
            "release without matching queued acquire");
-    L.Entries.back().Rel = C;
-    L.Entries.back().RelIdx = RelIdx;
-    L.Entries.back().Released = true;
+    Entry &E = L.at(L.End - 1);
+    E.Rel = C;
+    E.RelIdx = RelIdx;
   }
 
   /// Processes rule (b) at a rel(m) by \p Releaser whose current clock is
@@ -94,50 +106,86 @@ public:
   template <typename F>
   ST_ALWAYS_INLINE void drainOrdered(ThreadId Releaser, const VectorClock &C,
                                      F &&OnOrdered) {
-    for (ThreadId U = 0; U < Logs.size(); ++U) {
+    uint64_t *Row = cursorRow(Releaser);
+    for (ThreadId U = 0, N = static_cast<ThreadId>(Logs.size()); U < N; ++U) {
       if (U == Releaser)
         continue;
       AcquirerLog &L = Logs[U];
-      uint64_t &Cur = cursor(Releaser, U);
-      if (Cur < L.Base)
-        Cur = L.Base; // first drain after a reclamation
-      while (Cur < L.Base + L.Entries.size()) {
-        Entry &E = L.Entries[static_cast<size_t>(Cur - L.Base)];
-        if (!detail::ruleBOrdered(E.Acq, C))
+      uint64_t &Cur = Row[U];
+      if (Cur == NotDrained)
+        Cur = L.Base; // first drain of U by this cursor
+      while (Cur < L.End) {
+        Entry &E = L.at(Cur);
+        if (!detail::ruleBOrdered(E.Acq, C, U))
           break;
-        assert(E.Released && "ordered acquire must have a closed critical "
-                             "section (lock exclusion)");
+        assert(E.RelIdx != NotReleased && "ordered acquire of an open section");
         OnOrdered(E.Rel, E.RelIdx);
         ++Cur;
       }
-      reclaim(U);
+      if (L.End >= L.NextReclaim)
+        reclaim(U);
     }
   }
 
   size_t footprintBytes() const {
     size_t N = Logs.capacity() * sizeof(AcquirerLog) +
-               Cursors.capacity() * sizeof(std::vector<uint64_t>);
+               Cursors.capacity() * sizeof(std::vector<uint64_t>) +
+               FreeBlocks.capacity() * sizeof(std::unique_ptr<Block>);
     for (const auto &Row : Cursors)
       N += Row.capacity() * sizeof(uint64_t);
     for (const AcquirerLog &L : Logs) {
-      N += L.Entries.size() * sizeof(Entry);
-      for (const Entry &E : L.Entries)
-        N += detail::ruleBTimeFootprint(E.Acq) + E.Rel.footprintBytes();
+      N += L.Blocks.capacity() * sizeof(std::unique_ptr<Block>);
+      for (const auto &B : L.Blocks)
+        N += B->footprintBytes();
     }
+    for (const auto &B : FreeBlocks)
+      N += B->footprintBytes();
     return N;
   }
 
 private:
+  /// Entries per storage block. Small, so a lock that an acquirer takes
+  /// only a few times does not pay for a large mostly-empty block.
+  static constexpr uint64_t BlockEntries = 8;
+  /// Pushes to one acquirer's log between two reclamation attempts; an
+  /// attempt scans every cursor row, so this amortizes it.
+  static constexpr uint64_t ReclaimPeriod = 32;
+  /// RelIdx of an entry whose critical section is still open.
+  static constexpr uint64_t NotReleased = UINT64_MAX;
+  /// Cursor of a releaser that has never drained the acquirer; it does not
+  /// constrain reclamation (a minimum over cursors ignores it).
+  static constexpr uint64_t NotDrained = UINT64_MAX;
+
   struct Entry {
     AcqTimeT Acq;
     VectorClock Rel;
-    uint64_t RelIdx = 0;
-    bool Released = false;
+    uint64_t RelIdx = NotReleased;
   };
 
+  struct Block {
+    Entry Slots[BlockEntries];
+
+    /// sizeof(Block) plus the heap buffers its clocks keep, retired entries
+    /// included: a recycled slot reuses them.
+    size_t footprintBytes() const {
+      size_t N = sizeof(Block);
+      for (const Entry &E : Slots)
+        N += detail::ruleBTimeFootprint(E.Acq) + E.Rel.footprintBytes();
+      return N;
+    }
+  };
+
+  /// One acquirer's retained history: global entry indices [Base, End),
+  /// stored from Blocks.front() on. Base is a multiple of BlockEntries.
   struct AcquirerLog {
-    std::deque<Entry> Entries;
-    uint64_t Base = 0; // global index of Entries.front()
+    std::vector<std::unique_ptr<Block>> Blocks;
+    uint64_t Base = 0;
+    uint64_t End = 0;
+    uint64_t NextReclaim = ReclaimPeriod; // End that triggers an attempt
+
+    Entry &at(uint64_t G) {
+      return Blocks[(G - Base) / BlockEntries]->Slots[G % BlockEntries];
+    }
   };
 
   AcquirerLog &logOf(ThreadId U) {
@@ -146,33 +194,52 @@ private:
     return Logs[U];
   }
 
-  uint64_t &cursor(ThreadId Releaser, ThreadId U) {
-    size_t Row = PerReleaserCursors ? Releaser : 0;
-    if (Row >= Cursors.size())
-      Cursors.resize(Row + 1);
-    auto &RowVec = Cursors[Row];
-    if (U >= RowVec.size())
-      RowVec.resize(U + 1, 0);
-    return RowVec[U];
+  /// Appends a slot to \p L, taking a block from the free list when the
+  /// last one is full.
+  Entry &push(AcquirerLog &L) {
+    if (L.End - L.Base == L.Blocks.size() * BlockEntries) {
+      if (FreeBlocks.empty()) {
+        L.Blocks.push_back(std::make_unique<Block>());
+      } else {
+        L.Blocks.push_back(std::move(FreeBlocks.back()));
+        FreeBlocks.pop_back();
+      }
+    }
+    return L.at(L.End++);
   }
 
-  /// Frees entries every existing cursor has passed.
+  /// The cursor row \p Releaser drains with, covering every acquirer.
+  uint64_t *cursorRow(ThreadId Releaser) {
+    size_t R = PerReleaserCursors ? Releaser : 0;
+    if (R >= Cursors.size())
+      Cursors.resize(R + 1);
+    std::vector<uint64_t> &Row = Cursors[R];
+    if (Row.size() < Logs.size())
+      Row.resize(Logs.size(), NotDrained);
+    return Row.data();
+  }
+
+  /// Moves to the free list every block of \p U's log that all cursors
+  /// which have drained U are past.
   void reclaim(ThreadId U) {
     AcquirerLog &L = Logs[U];
-    if (L.Entries.size() < 64)
-      return;
-    uint64_t Min = UINT64_MAX;
+    L.NextReclaim = L.End + ReclaimPeriod;
+    uint64_t Min = L.End;
     for (const auto &Row : Cursors)
-      Min = std::min(Min, U < Row.size() ? Row[U] : L.Base);
-    while (L.Base < Min && !L.Entries.empty()) {
-      L.Entries.pop_front();
-      ++L.Base;
-    }
+      if (U < Row.size())
+        Min = std::min(Min, Row[U]);
+    assert(Min >= L.Base && "drained cursor behind a freed block");
+    size_t Freed = static_cast<size_t>((Min - L.Base) / BlockEntries);
+    for (size_t I = 0; I != Freed; ++I)
+      FreeBlocks.push_back(std::move(L.Blocks[I]));
+    L.Blocks.erase(L.Blocks.begin(), L.Blocks.begin() + Freed);
+    L.Base += Freed * BlockEntries;
   }
 
   bool PerReleaserCursors;
-  std::vector<AcquirerLog> Logs;            // indexed by acquirer
+  std::vector<AcquirerLog> Logs;              // indexed by acquirer
   std::vector<std::vector<uint64_t>> Cursors; // [releaser or 0][acquirer]
+  std::vector<std::unique_ptr<Block>> FreeBlocks;
 };
 
 } // namespace st

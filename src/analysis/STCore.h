@@ -25,11 +25,12 @@
 /// DC/WDCPolicy there is a single clock and rule (b) (when present) uses
 /// per-releaser cursors ("Optimizing Acq_m,t(t')", Algorithm 3 line 2).
 ///
-/// Interpretation notes (DESIGN.md §4): MultiCheck returns immediately when
-/// the list owner is the current thread (PO-ordered; avoids joining the ∞
-/// sentinel); writes join E^w alongside E^r for held locks (both are
-/// genuine rule-(a) edges); line 35's L^w_x(u) means "the last write's CS
-/// list when u owns the last write".
+/// Interpretation notes (docs/architecture.md, "SmartTrack interpretation
+/// notes"): MultiCheck returns immediately when the list owner is the
+/// current thread (PO-ordered; avoids joining the ∞ sentinel); writes join
+/// E^w alongside E^r for held locks (both are genuine rule-(a) edges); line
+/// 35's L^w_x(u) means "the last write's CS list when u owns the last
+/// write".
 ///
 //===----------------------------------------------------------------------===//
 

@@ -109,7 +109,7 @@ LockClockMap STCore<Policy>::multiCheck(const CSList &L, ThreadId U, Epoch A,
   LockClockMap E;
   // The list owner's accesses are PO-ordered before the current thread's
   // only when they are the same thread; then nothing below applies
-  // (DESIGN.md interpretation note 5).
+  // (docs/architecture.md, SmartTrack interpretation note 1).
   if (U == Ev.Tid)
     return E;
   for (size_t I = L.size(); I-- > 0;) { // tail (outermost) to head
@@ -253,7 +253,8 @@ template <typename Policy> void STCore<Policy>::onWrite(const Event &E) {
 
   // Algorithm 3 write lines 19-23: consume lost CS information. Writes
   // conflict with reads and writes, so both maps contribute genuine
-  // rule-(a) edges (DESIGN.md interpretation note 6).
+  // rule-(a) edges (docs/architecture.md, SmartTrack interpretation
+  // note 2).
   applyExtra(V.Er.get(), E, Pt, /*Consume=*/true);
   applyExtra(V.Ew.get(), E, Pt, /*Consume=*/true);
 

@@ -13,8 +13,8 @@
 ///    (streaming the same events through no analysis);
 ///  - memory: peak live analysis-metadata bytes (sampled periodically),
 ///    reported as a usage factor over a fixed per-program uninstrumented
-///    footprint proxy (DESIGN.md §5 documents this substitution for max
-///    RSS);
+///    footprint proxy (docs/architecture.md, "Substitutions", documents
+///    this substitution for max RSS);
 ///  - race counts (statically distinct and dynamic).
 ///
 /// Trials are repeated and summarized with the Stats helpers.

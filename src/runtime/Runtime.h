@@ -6,11 +6,11 @@
 ///
 /// \file
 /// A ThreadSanitizer-style online runtime standing in for RoadRunner
-/// (DESIGN.md §5): real std::thread programs call into a Detector that
-/// linearizes instrumentation events and feeds any analysis from the
-/// registry while the program runs. RAII wrappers (InstrumentedMutex,
-/// SharedVar) make instrumenting an application a one-line-per-object
-/// change; see examples/bank_accounts.cpp.
+/// (docs/architecture.md, "Substitutions"): real std::thread programs call
+/// into a Detector that linearizes instrumentation events and feeds any
+/// analysis from the registry while the program runs. RAII wrappers
+/// (InstrumentedMutex, SharedVar) make instrumenting an application a
+/// one-line-per-object change; see examples/bank_accounts.cpp.
 ///
 /// The intake serializes events with one mutex — the paper's RoadRunner
 /// tools use fine-grained metadata synchronization instead (§5.1); a global

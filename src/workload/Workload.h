@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Synthetic multithreaded workloads standing in for the paper's DaCapo
-/// benchmarks (substitution documented in DESIGN.md §5). Each profile is
+/// benchmarks (docs/architecture.md, "Substitutions"). Each profile is
 /// tuned to reproduce the run-time characteristics §5.3 identifies as
 /// performance-relevant (Table 2): thread count, the fraction of
 /// non-same-epoch accesses (NSEAs), and the distribution of locks held at
