@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Minimal column-aligned table printer for the benchmark binaries, which
-/// regenerate the paper's tables on stdout.
+/// Minimal column-aligned table printer for the paper-table renderer
+/// (PaperTables.h) and the example programs.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMARTTRACK_HARNESS_TABLE_H
 #define SMARTTRACK_HARNESS_TABLE_H
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -27,7 +28,8 @@ public:
 
   void addRow(std::vector<std::string> Row) { Rows.push_back(std::move(Row)); }
 
-  void print(FILE *Out = stdout) const {
+  /// The aligned rows (header, rule, body), one line each.
+  std::string str() const {
     std::vector<size_t> Width(Header.size(), 0);
     auto Widen = [&Width](const std::vector<std::string> &Row) {
       for (size_t I = 0; I < Row.size(); ++I) {
@@ -40,23 +42,28 @@ public:
     for (const auto &Row : Rows)
       Widen(Row);
 
+    std::string Out;
     auto PrintRow = [&](const std::vector<std::string> &Row) {
       for (size_t I = 0; I < Width.size(); ++I) {
         const std::string &Cell = I < Row.size() ? Row[I] : std::string();
-        std::fprintf(Out, "%s%-*s", I ? "  " : "",
-                     static_cast<int>(Width[I]), Cell.c_str());
+        Out += I ? "  " : "";
+        Out += Cell;
+        Out.append(Width[I] - Cell.size(), ' ');
       }
-      std::fprintf(Out, "\n");
+      Out += '\n';
     };
     PrintRow(Header);
     size_t Total = 0;
     for (size_t W : Width)
       Total += W + 2;
-    std::string Rule(Total > 2 ? Total - 2 : 0, '-');
-    std::fprintf(Out, "%s\n", Rule.c_str());
+    Out.append(Total > 2 ? Total - 2 : 0, '-');
+    Out += '\n';
     for (const auto &Row : Rows)
       PrintRow(Row);
+    return Out;
   }
+
+  void print(FILE *Out = stdout) const { std::fputs(str().c_str(), Out); }
 
 private:
   std::vector<std::string> Header;

@@ -1,12 +1,14 @@
 //===- tests/harness/HarnessTest.cpp - Bench harness unit tests -----------===//
 
-#include "harness/BenchRunner.h"
 #include "harness/Characteristics.h"
-#include "harness/GridBench.h"
+#include "harness/PaperTables.h"
 #include "harness/Stats.h"
 #include "harness/Table.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <sstream>
 
 using namespace st;
 
@@ -35,75 +37,20 @@ TEST(StatsTest, TCriticalValues) {
   EXPECT_NEAR(tCritical95(1000), 1.96, 1e-3);
 }
 
-TEST(BenchConfigTest, EventScalingWithFloors) {
-  BenchConfig C;
-  C.EventScale = 4000;
-  C.MinEvents = 100000;
-  WorkloadProfile P;
-  P.PaperTotalEvents = 49000000; // tomcat-like
-  EXPECT_EQ(C.eventsFor(P), 100000u) << "floor applies";
-  P.PaperTotalEvents = 3800000000ull; // h2-like
-  EXPECT_EQ(C.eventsFor(P), 950000u);
-}
-
-TEST(BenchConfigTest, ParseArgs) {
-  BenchConfig C;
-  const char *Argv[] = {"bench", "--events-scale=100", "--trials=5",
-                        "--seed=9", "--programs=h2,xalan"};
-  ASSERT_TRUE(parseBenchArgs(5, const_cast<char **>(Argv), C));
-  EXPECT_EQ(C.EventScale, 100u);
-  EXPECT_EQ(C.Trials, 5u);
-  EXPECT_EQ(C.Seed, 9u);
-  EXPECT_TRUE(C.wantsProgram("h2"));
-  EXPECT_TRUE(C.wantsProgram("xalan"));
-  EXPECT_FALSE(C.wantsProgram("avrora"));
-
-  BenchConfig D;
-  const char *Bad[] = {"bench", "--frobnicate"};
-  EXPECT_FALSE(parseBenchArgs(2, const_cast<char **>(Bad), D));
-  EXPECT_TRUE(D.wantsProgram("anything")) << "empty filter accepts all";
-}
-
-TEST(BenchRunnerTest, FormatFactor) {
+TEST(PaperTablesTest, FormatFactor) {
   EXPECT_EQ(formatFactor(4.23), "4.2x");
   EXPECT_EQ(formatFactor(12.7), "13x");
   EXPECT_EQ(formatFactor(9.94), "9.9x");
   EXPECT_NE(formatFactor(4.2, 0.3).find("±"), std::string::npos);
 }
 
-TEST(BenchRunnerTest, FormatRaces) {
+TEST(PaperTablesTest, FormatRaces) {
   EXPECT_EQ(formatRaces(6, 425515), "6 (425,515)");
   EXPECT_EQ(formatRaces(1, 1), "1 (1)");
   EXPECT_EQ(formatRaces(0, 0), "0 (0)");
 }
 
-TEST(BenchRunnerTest, RunOnceMeasuresRealRun) {
-  const WorkloadProfile &P = *findProfile("pmd");
-  BenchConfig C;
-  C.EventScale = 4000;
-  C.MinEvents = 20000;
-  double Base = measureBaseline(P, C);
-  EXPECT_GT(Base, 0.0);
-  RunResult R = runOnce(AnalysisKind::FTOHB, P, C, Base, 42);
-  EXPECT_GE(R.Events, 20000u);
-  EXPECT_GT(R.Seconds, 0.0);
-  EXPECT_GT(R.PeakFootprintBytes, 0u);
-  EXPECT_GT(R.slowdown(), 0.0);
-  EXPECT_GT(R.memoryFactor(C.UninstrumentedBytes), 1.0);
-}
-
-TEST(BenchRunnerTest, CellAggregatesTrials) {
-  const WorkloadProfile &P = *findProfile("pmd");
-  BenchConfig C;
-  C.MinEvents = 10000;
-  C.Trials = 3;
-  double Base = measureBaseline(P, C);
-  CellResult Cell = runCell(AnalysisKind::FTOHB, P, C, Base);
-  EXPECT_EQ(Cell.Slowdowns.size(), 3u);
-  EXPECT_EQ(Cell.StaticRaces.size(), 3u);
-}
-
-TEST(GridBenchTest, KindIndexLayoutMatchesPaper) {
+TEST(PaperTablesTest, KindIndexLayoutMatchesPaper) {
   const auto &Kinds = mainTableAnalysisKinds();
   EXPECT_EQ(Kinds[gridKindIndex(0, 0)], AnalysisKind::UnoptHB);
   EXPECT_EQ(Kinds[gridKindIndex(0, 1)], AnalysisKind::FTOHB);
@@ -114,18 +61,149 @@ TEST(GridBenchTest, KindIndexLayoutMatchesPaper) {
   EXPECT_EQ(gridKindIndex(4, 0), -1);
 }
 
+/// A hand-built grid over the 11 main-table kinds. avrora: one repeat,
+/// drain 1 s, kind i slows down 1.5 + 0.5i and holds i + 1 MiB. xalan:
+/// two repeats, drain 0.5 s, kind i slows down 3 + i +- 0.1 and holds
+/// 2i + 1 MiB both times.
+std::vector<WorkloadResult> handBuiltGrid() {
+  const auto &Kinds = mainTableAnalysisKinds();
+  std::vector<WorkloadResult> Grid(2);
+  Grid[0].Profile = findProfile("avrora");
+  Grid[0].DrainSeconds = 1.0;
+  Grid[1].Profile = findProfile("xalan");
+  Grid[1].DrainSeconds = 0.5;
+  for (size_t I = 0; I != Kinds.size(); ++I) {
+    CellResult A;
+    A.Kind = Kinds[I];
+    A.Seconds = {0.5 + 0.5 * static_cast<double>(I)};
+    A.FootprintBytes = {(I + 1) << 20};
+    A.StaticRaces = 6;
+    A.DynamicRaces = Kinds[I] == AnalysisKind::STWDC ? 1234567 : 100 * I;
+    CellResult X = A;
+    double S = (2.0 + static_cast<double>(I)) / 2; // slowdown 3 + i
+    X.Seconds = {S - 0.05, S + 0.05};
+    X.FootprintBytes = {(2 * I + 1) << 20, (2 * I + 1) << 20};
+    // No same-epoch hits; reads 900/50/30/15/5; writes 300/100/100.
+    X.HasCaseStats = Kinds[I] == AnalysisKind::STWDC;
+    X.Cases = {0, 0, 0, 900, 50, 30, 15, 5, 300, 100, 100};
+    Grid[0].Cells.push_back(A);
+    Grid[1].Cells.push_back(X);
+  }
+  return Grid;
+}
+
+/// The cells of \p Workload's block in a per-program table, row-major
+/// over (relation, level); columns are split at runs of 2+ spaces.
+std::vector<std::string> blockCells(const std::string &Table,
+                                    const std::string &Workload) {
+  size_t Pos = Table.find("\n" + Workload + "\n");
+  EXPECT_NE(Pos, std::string::npos) << Workload;
+  std::vector<std::string> Cells;
+  std::istringstream In(Table.substr(Pos + Workload.size() + 2));
+  std::string Line;
+  std::getline(In, Line); // header
+  std::getline(In, Line); // rule
+  for (int Row = 0; Row < 4 && std::getline(In, Line); ++Row) {
+    size_t At = Line.find("  "); // past the relation name
+    size_t Last = Line.find_last_not_of(' ') + 1;
+    while ((At = Line.find_first_not_of(' ', At)) < Last) {
+      size_t End = std::min(Line.find("  ", At), Last);
+      Cells.push_back(Line.substr(At, End - At));
+      At = End;
+    }
+  }
+  return Cells;
+}
+
+TEST(PaperTablesTest, Table5BlockIsExact) {
+  std::string T5 = renderPaperTable(5, handBuiltGrid());
+  EXPECT_NE(T5.find("avrora\n"
+                    "     Unopt-  FTO-  ST- \n"
+                    "-----------------------\n"
+                    "HB   1.5x    2.0x  N/A \n"
+                    "WCP  2.5x    3.0x  3.5x\n"
+                    "DC   4.0x    4.5x  5.0x\n"
+                    "WDC  5.5x    6.0x  6.5x\n"
+                    "\n"),
+            std::string::npos)
+      << T5;
+  // Two repeats: every cell carries its 95% CI (t=12.706 x se 0.1).
+  EXPECT_NE(T5.find("xalan\n"
+                    "     Unopt-      FTO-        ST-       \n"
+                    "---------------------------------------\n"
+                    "HB   3.0x ±1.3  4.0x ±1.3  N/A       \n"
+                    "WCP  5.0x ±1.3  6.0x ±1.3  7.0x ±1.3\n"
+                    "DC   8.0x ±1.3  9.0x ±1.3  10x ±1.3 \n"
+                    "WDC  11x ±1.3   12x ±1.3   13x ±1.3 \n"
+                    "\n"),
+            std::string::npos)
+      << T5;
+}
+
+TEST(PaperTablesTest, Table4IsTheGeomeanOfTables5And6) {
+  std::vector<WorkloadResult> Grid = handBuiltGrid();
+  // Table 4's two blocks parse like per-program blocks.
+  std::string T4 = renderPaperTable(4, Grid);
+  std::vector<std::string> Geo[] = {blockCells(T4, "Run time"),
+                                    blockCells(T4, "Memory usage")};
+  for (int Aspect = 0; Aspect < 2; ++Aspect) {
+    std::string PerProgram = renderPaperTable(Aspect ? 6 : 5, Grid);
+    std::vector<std::string> A = blockCells(PerProgram, "avrora");
+    std::vector<std::string> X = blockCells(PerProgram, "xalan");
+    ASSERT_EQ(Geo[Aspect].size(), 12u);
+    ASSERT_EQ(A.size(), 12u);
+    ASSERT_EQ(X.size(), 12u);
+    for (size_t I = 0; I != 12; ++I) {
+      if (A[I] == "N/A") {
+        EXPECT_EQ(Geo[Aspect][I], "N/A");
+        continue;
+      }
+      double Want = geomean({std::stod(A[I]), std::stod(X[I])});
+      EXPECT_EQ(Geo[Aspect][I], formatFactor(Want))
+          << "aspect " << Aspect << " cell " << I << ": " << A[I] << ", "
+          << X[I];
+    }
+  }
+}
+
+TEST(PaperTablesTest, Table7GroupsDigits) {
+  std::vector<std::string> A =
+      blockCells(renderPaperTable(7, handBuiltGrid()), "avrora");
+  ASSERT_EQ(A.size(), 12u);
+  EXPECT_EQ(A[0], "6 (0)");
+  EXPECT_EQ(A[2], "N/A");
+  EXPECT_EQ(A[11], "6 (1,234,567)");
+}
+
+TEST(PaperTablesTest, Table12WriteRowsHaveNoShareColumns) {
+  std::string T12 = renderPaperTable(12, handBuiltGrid());
+  EXPECT_EQ(T12.find("avrora"), std::string::npos)
+      << "no case stats, no row";
+  // The xalan Read row, then its Write row: no "Owned Shared" and no
+  // "Unowned Share" case exists for writes.
+  std::istringstream In(T12.substr(T12.find("xalan")));
+  std::string Rows;
+  for (std::string Word; In >> Word;)
+    Rows += Word + " ";
+  EXPECT_EQ(Rows, "xalan Read 1.0K 90% 5% 3% 1.5% 0.5% "
+                  "Write 500 60% N/A 20% N/A 20% ");
+}
+
+TEST(PaperTablesTest, MissingCellsPrintDashes) {
+  std::vector<WorkloadResult> Grid = handBuiltGrid();
+  Grid[0].Cells.resize(1); // avrora keeps Unopt-HB only
+  std::vector<std::string> A = blockCells(renderPaperTable(5, Grid), "avrora");
+  ASSERT_EQ(A.size(), 12u);
+  EXPECT_EQ(A[0], "1.5x");
+  EXPECT_EQ(A[1], "-");
+  EXPECT_EQ(A[2], "N/A");
+}
+
 TEST(TablePrinterTest, AlignsColumns) {
   TablePrinter T({"A", "LongHeader"});
   T.addRow({"wide-cell", "x"});
   T.addRow({"y", "z"});
-  // Print to a memstream and inspect alignment.
-  char *Buf = nullptr;
-  size_t Len = 0;
-  FILE *F = open_memstream(&Buf, &Len);
-  T.print(F);
-  std::fclose(F);
-  std::string Out(Buf, Len);
-  free(Buf);
+  std::string Out = T.str();
   EXPECT_NE(Out.find("A          LongHeader"), std::string::npos) << Out;
   EXPECT_NE(Out.find("wide-cell  x"), std::string::npos) << Out;
   EXPECT_NE(Out.find("---"), std::string::npos);

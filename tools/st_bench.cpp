@@ -20,8 +20,12 @@
 // stable across machines, which is what the CI regression gate
 // (tools/ci/bench_compare.py) compares against bench/baseline.json.
 //
+// The full and ablation suites print the paper's tables instead of the
+// per-cell table, rendered from the same cells (harness/PaperTables.h).
+//
 // Usage:
-//   st-bench [--suite=smoke|ci|full] [--workloads=a,b,..] [--analyses=..]
+//   st-bench [--suite=smoke|ci|full|ablation] [--workloads=a,b,..]
+//            [--analyses=..]
 //            [--events=N] [--warmup=N] [--repeats=N] [--batch=N] [--seed=N]
 //            [--out=FILE|-] [--quiet] [--list]
 //
@@ -29,6 +33,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "harness/PaperTables.h"
 #include "report/Session.h"
 #include "workload/Workload.h"
 
@@ -38,6 +43,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,8 +53,6 @@ using namespace st;
 
 namespace {
 
-/// The shape of one predefined suite. Workload/analysis lists are indexes
-/// into the registry and profile tables, so suite declarations stay data.
 /// One shard-scaling column: the (workload, analysis) pair measured once
 /// per shard count on the sharded executor (SessionOptions::Shards).
 struct ShardCellSpec {
@@ -55,11 +60,13 @@ struct ShardCellSpec {
   AnalysisKind Kind;
 };
 
+/// The shape of one predefined suite, declared as data.
 struct SuiteSpec {
   const char *Name;
   const char *Description;
-  std::vector<std::string> Workloads;
+  std::vector<WorkloadProfile> Workloads;
   std::vector<AnalysisKind> Analyses;
+  /// Events per workload; 0 = scaled from each profile's paper count.
   uint64_t Events;
   unsigned Warmup;
   unsigned Repeats;
@@ -68,7 +75,34 @@ struct SuiteSpec {
   /// Shards == 1, so it doubles as a wrapper-overhead check).
   std::vector<ShardCellSpec> ShardCells;
   std::vector<unsigned> ShardCounts;
+  /// Renders the suite's tables from its cells; null = the per-cell table.
+  std::string (*Render)(const std::vector<WorkloadResult> &) = nullptr;
 };
+
+/// The CCS ablation's workloads (paper §4.2, §5.5): one 8-thread profile
+/// per fraction of non-same-epoch accesses holding a lock, from none to
+/// nearly all, with no seeded races.
+std::vector<WorkloadProfile> heldFractionSweep() {
+  std::vector<WorkloadProfile> Out;
+  auto Add = [&Out](const char *Name, double Held) {
+    WorkloadProfile P;
+    P.Name = Name;
+    P.Threads = 8;
+    P.NseaFraction = 0.25;
+    P.Held1 = Held;
+    P.Held2 = Held * 0.5;
+    P.Held3 = Held * 0.1;
+    P.EpisodesPerMillion = 0;
+    Out.push_back(P);
+  };
+  Add("held0", 0.0);
+  Add("held20", 0.2);
+  Add("held40", 0.4);
+  Add("held60", 0.6);
+  Add("held80", 0.8);
+  Add("held99", 0.99);
+  return Out;
+}
 
 /// The ladder every suite measures by default: the FT2 reference plus the
 /// epoch-optimized and SmartTrack configurations of each relation. Unopt
@@ -86,7 +120,8 @@ const std::vector<SuiteSpec> &suites() {
     std::vector<SuiteSpec> S;
     // Diverse thread counts: jython=2, avrora=7, tomcat=37 straddle the
     // VectorClock inline-storage boundary from both sides.
-    std::vector<std::string> SmallSet = {"avrora", "jython", "tomcat"};
+    std::vector<WorkloadProfile> SmallSet = {
+        *findProfile("avrora"), *findProfile("jython"), *findProfile("tomcat")};
     S.push_back({"smoke",
                  "CTest-sized: 3 workloads x 8 analyses, 20k events, 1 trial",
                  SmallSet,
@@ -113,25 +148,31 @@ const std::vector<SuiteSpec> &suites() {
                  3,
                  {{"avrora", AnalysisKind::STWDC}},
                  {1, 2, 4, 8}});
-    std::vector<std::string> All;
-    for (const WorkloadProfile &P : dacapoProfiles())
-      All.push_back(P.Name);
-    std::vector<AnalysisKind> Full = ladderAnalyses();
-    Full.push_back(AnalysisKind::UnoptHB);
-    Full.push_back(AnalysisKind::UnoptWCP);
-    Full.push_back(AnalysisKind::UnoptDC);
-    Full.push_back(AnalysisKind::UnoptWDC);
+    // The paper grid behind Tables 2-7 and 12: every profile x every
+    // analysis, each profile at its paper-scaled event count.
     S.push_back({"full",
-                 "all 10 workloads x 12 analyses, 500k events, median of 5,"
-                 " + FTO/ST-WDC shard scaling",
-                 All,
-                 Full,
-                 500000,
+                 "paper Tables 2-7, 12: all 10 workloads x 14 analyses,"
+                 " paper events / 4000, median of 5",
+                 dacapoProfiles(),
+                 allAnalysisKinds(),
+                 0,
                  1,
                  5,
-                 {{"avrora", AnalysisKind::STWDC},
-                  {"avrora", AnalysisKind::FTOWDC}},
-                 {1, 2, 4, 8}});
+                 {},
+                 {},
+                 renderPaperTables});
+    S.push_back({"ablation",
+                 "CCS ablation: 6 held-fraction sweep workloads (held0 .."
+                 " held99) x {Unopt,FTO,ST}-DC, 400k events, median of 5",
+                 heldFractionSweep(),
+                 {AnalysisKind::UnoptDC, AnalysisKind::FTODC,
+                  AnalysisKind::STDC},
+                 400000,
+                 1,
+                 5,
+                 {},
+                 {},
+                 renderAblation});
     return S;
   }();
   return Suites;
@@ -139,7 +180,8 @@ const std::vector<SuiteSpec> &suites() {
 
 struct Options {
   const SuiteSpec *Suite = nullptr;
-  std::vector<std::string> Workloads; // overrides suite when non-empty
+  std::vector<std::string> WorkloadNames; // overrides suite when non-empty
+  std::vector<const WorkloadProfile *> Workloads;
   std::vector<AnalysisKind> Analyses; // overrides suite when non-empty
   uint64_t Events = 0;                // 0 = suite default
   unsigned Warmup = UINT_MAX;         // UINT_MAX = suite default
@@ -163,7 +205,8 @@ void printUsage(FILE *Out, const char *Prog) {
       "writes a schema-versioned JSON report plus a human table.\n"
       "\n"
       "options:\n"
-      "  --suite=NAME     predefined suite: smoke, ci (default), full\n"
+      "  --suite=NAME     smoke, ci (default), full or ablation (the last\n"
+      "                   two print the paper's tables)\n"
       "  --workloads=a,b  workload profile names (see --list)\n"
       "  --analyses=a,b   analysis names (see --list); default: the ladder\n"
       "  --events=N       events per workload (default: suite's)\n"
@@ -188,7 +231,7 @@ void printUsage(FILE *Out, const char *Prog) {
 void printList() {
   std::printf("suites:\n");
   for (const SuiteSpec &S : suites())
-    std::printf("  %-6s %s\n", S.Name, S.Description);
+    std::printf("  %-8s %s\n", S.Name, S.Description);
   std::printf("workloads (src/workload profiles, Table 2 shapes):\n");
   for (const WorkloadProfile &P : dacapoProfiles())
     std::printf("  %-9s %2u threads, %5.1f%% NSEAs\n", P.Name, P.Threads,
@@ -212,18 +255,10 @@ bool parseCount(const char *Value, const char *Flag, uint64_t &Out) {
 
 std::vector<std::string> splitCommas(const char *S) {
   std::vector<std::string> Out;
-  std::string Cur;
-  for (; *S; ++S) {
-    if (*S == ',') {
-      if (!Cur.empty())
-        Out.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur += *S;
-    }
-  }
-  if (!Cur.empty())
-    Out.push_back(Cur);
+  std::istringstream In(S);
+  for (std::string Item; std::getline(In, Item, ',');)
+    if (!Item.empty())
+      Out.push_back(Item);
   return Out;
 }
 
@@ -246,14 +281,8 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     } else if (std::strncmp(Arg, "--workloads=", 12) == 0) {
-      for (const std::string &W : splitCommas(Arg + 12)) {
-        if (!findProfile(W.c_str())) {
-          std::fprintf(stderr, "error: unknown workload '%s' (try --list)\n",
-                       W.c_str());
-          return false;
-        }
-        Opts.Workloads.push_back(W);
-      }
+      for (const std::string &W : splitCommas(Arg + 12))
+        Opts.WorkloadNames.push_back(W);
     } else if (std::strncmp(Arg, "--analyses=", 11) == 0) {
       for (const std::string &A : splitCommas(Arg + 11)) {
         AnalysisKind K;
@@ -331,8 +360,23 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   }
   if (!Opts.Suite)
     Opts.Suite = findSuite("ci");
+  // Names resolve against the suite's own profiles first, so --workloads
+  // can pick ablation sweep points as well as DaCapo profiles.
+  for (const std::string &Name : Opts.WorkloadNames) {
+    const WorkloadProfile *P = findProfile(Name.c_str());
+    for (const WorkloadProfile &SP : Opts.Suite->Workloads)
+      if (Name == SP.Name)
+        P = &SP;
+    if (!P) {
+      std::fprintf(stderr, "error: unknown workload '%s' (try --list)\n",
+                   Name.c_str());
+      return false;
+    }
+    Opts.Workloads.push_back(P);
+  }
   if (Opts.Workloads.empty())
-    Opts.Workloads = Opts.Suite->Workloads;
+    for (const WorkloadProfile &P : Opts.Suite->Workloads)
+      Opts.Workloads.push_back(&P);
   if (Opts.Analyses.empty())
     Opts.Analyses = Opts.Suite->Analyses;
   if (Opts.Events == 0)
@@ -350,41 +394,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
 // Measurement
 //===----------------------------------------------------------------------===//
 
-/// One measured (workload, analysis) cell.
-struct CellResult {
-  std::string Workload;
-  AnalysisKind Kind;
-  /// 0 = plain core; N >= 1 = sharded executor with N variable shards
-  /// (SessionOptions::Shards; 1 runs the plain core and anchors scaling).
-  unsigned Shards = 0;
-  /// eventsPerSec(N shards) / (N * eventsPerSec(1 shard)); 0 until the
-  /// 1-shard anchor cell is known. Only meaningful when Shards > 1.
-  double ScalingEfficiency = 0;
-  uint64_t Events = 0;
-  std::vector<double> Seconds; // all measured trials, run order
-  double MedianSeconds = 0;
-  size_t PeakFootprintBytes = 0;
-  size_t FinalFootprintBytes = 0;
-  uint64_t DynamicRaces = 0;
-  unsigned StaticRaces = 0;
-
-  double nsPerEvent() const {
-    return Events ? MedianSeconds * 1e9 / static_cast<double>(Events) : 0;
-  }
-  double eventsPerSec() const {
-    return MedianSeconds > 0 ? static_cast<double>(Events) / MedianSeconds
-                             : 0;
-  }
-};
-
-/// Everything one workload contributes to the report.
-struct WorkloadResult {
-  const WorkloadProfile *Profile = nullptr;
-  uint64_t Events = 0;
-  double DrainSeconds = 0; // uninstrumented baseline (median)
-  std::vector<CellResult> Cells;
-};
-
 double median(std::vector<double> Xs) {
   std::sort(Xs.begin(), Xs.end());
   size_t N = Xs.size();
@@ -393,60 +402,61 @@ double median(std::vector<double> Xs) {
   return N % 2 ? Xs[N / 2] : (Xs[N / 2 - 1] + Xs[N / 2]) / 2;
 }
 
-/// Streams the workload through \p S once (rebuilding the generator so
-/// every trial sees the identical event stream).
-RunReport streamOnce(const WorkloadProfile &P, const Options &Opts,
-                     Session &S) {
-  WorkloadGenerator Gen(P, Opts.Events, Opts.Seed);
-  GeneratorEventSource Src(Gen);
-  return S.run(Src);
+/// --events or the suite's count; failing both (the paper grid), the
+/// profile's paper event count / 4000, clamped to [100k, 20M].
+uint64_t eventsFor(const WorkloadProfile &P, const Options &Opts) {
+  return Opts.Events ? Opts.Events
+                     : std::clamp<uint64_t>(P.PaperTotalEvents / 4000,
+                                            100000, 20000000);
 }
 
-/// Median uninstrumented drain (event generation + engine batching alone),
-/// warmed up like every analysis cell so the slowdown denominator does not
-/// carry cold-start cost the cells already shed. A Session with zero
-/// analyses is exactly that drain.
-double measureDrain(const WorkloadProfile &P, const Options &Opts) {
-  std::vector<double> Trials;
-  for (unsigned T = 0; T != Opts.Warmup + std::max(Opts.Repeats, 1u); ++T) {
-    SessionOptions SO;
-    SO.BatchSize = Opts.BatchSize;
-    SO.Validation = Opts.Validation;
-    Session S(SO);
-    RunReport Rep = streamOnce(P, Opts, S);
-    if (T >= Opts.Warmup)
-      Trials.push_back(Rep.WallSeconds);
-  }
-  return median(std::move(Trials));
-}
-
-CellResult measureCell(const WorkloadProfile &P, AnalysisKind Kind,
-                       const Options &Opts, unsigned Shards = 0) {
-  CellResult Cell;
-  Cell.Workload = P.Name;
-  Cell.Kind = Kind;
-  Cell.Shards = Shards;
+/// Streams \p P through a fresh Session (and generator, so every trial
+/// sees the identical stream) per trial; returns the --repeats measured
+/// reports that follow --warmup unmeasured ones. With no \p Kind this is
+/// the uninstrumented drain, warmed up like every cell so the slowdown
+/// denominator does not carry cold-start cost the cells already shed.
+std::vector<RunReport> runTrials(const WorkloadProfile &P, const Options &Opts,
+                                 std::optional<AnalysisKind> Kind,
+                                 unsigned Shards = 0) {
+  std::vector<RunReport> Measured;
   for (unsigned T = 0; T != Opts.Warmup + Opts.Repeats; ++T) {
     SessionOptions SO;
     SO.BatchSize = Opts.BatchSize;
-    SO.SampleFootprint = true;
+    SO.SampleFootprint = Kind.has_value();
     SO.MaxStoredRaces = 64;
     SO.Validation = Opts.Validation;
     if (Shards)
       SO.Shards = Shards;
     Session S(SO);
-    S.add(Kind);
-    RunReport Rep = streamOnce(P, Opts, S);
-    Cell.Events = Rep.Stream.Events;
-    if (T < Opts.Warmup)
-      continue;
+    if (Kind)
+      S.add(*Kind);
+    WorkloadGenerator Gen(P, eventsFor(P, Opts), Opts.Seed);
+    GeneratorEventSource Src(Gen);
+    RunReport Rep = S.run(Src);
+    if (T >= Opts.Warmup)
+      Measured.push_back(std::move(Rep));
+  }
+  return Measured;
+}
+
+CellResult measureCell(const WorkloadProfile &P, AnalysisKind Kind,
+                       const Options &Opts, unsigned Shards = 0) {
+  CellResult Cell;
+  Cell.Kind = Kind;
+  Cell.Shards = Shards;
+  for (const RunReport &Rep : runTrials(P, Opts, Kind, Shards)) {
     const AnalysisRunResult &A = Rep.Analyses.front();
+    Cell.Events = Rep.Stream.Events;
     Cell.Seconds.push_back(A.Seconds);
+    Cell.FootprintBytes.push_back(
+        std::max(A.PeakFootprintBytes, A.FinalFootprintBytes));
     Cell.PeakFootprintBytes =
         std::max(Cell.PeakFootprintBytes, A.PeakFootprintBytes);
     Cell.FinalFootprintBytes = A.FinalFootprintBytes;
     Cell.DynamicRaces = A.DynamicRaces;
     Cell.StaticRaces = A.StaticRaces;
+    Cell.HasCaseStats = A.HasCaseStats;
+    Cell.Cases = A.Cases;
   }
   Cell.MedianSeconds = median(Cell.Seconds);
   return Cell;
@@ -460,63 +470,45 @@ CellResult measureCell(const WorkloadProfile &P, AnalysisKind Kind,
 // gate refuses to diff across schema versions.
 constexpr unsigned SchemaVersion = 2;
 
-void jsonNumber(std::string &Out, double V) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
+/// Appends printf-formatted text to \p Out.
+template <typename... Ts>
+void appendf(std::string &Out, const char *Format, Ts... Args) {
+  size_t Old = Out.size();
+  int N = std::snprintf(nullptr, 0, Format, Args...);
+  Out.resize(Old + static_cast<size_t>(N) + 1);
+  std::snprintf(&Out[Old], static_cast<size_t>(N) + 1, Format, Args...);
+  Out.resize(Old + static_cast<size_t>(N));
 }
 
-void jsonUInt(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu",
-                static_cast<unsigned long long>(V));
-  Out += Buf;
-}
+using ULL = unsigned long long;
 
-/// Workload names and analysis names are identifier-shaped; quoting is
-/// still applied, escaping is unnecessary by construction.
-void jsonString(std::string &Out, const char *S) {
-  Out += '"';
-  Out += S;
-  Out += '"';
-}
-
+/// Workload names and analysis names are identifier-shaped, so strings
+/// are quoted without escaping; numbers print as %.9g.
 std::string jsonReport(const Options &Opts,
                        const std::vector<WorkloadResult> &Workloads,
-                       const char *ReferenceName) {
-  std::string Out = "{\n";
-  Out += "  \"schema\": \"st-bench/v2\",\n  \"schema_version\": ";
-  jsonUInt(Out, SchemaVersion);
-  Out += ",\n  \"suite\": ";
-  jsonString(Out, Opts.Suite->Name);
-  Out += ",\n  \"config\": {\"events\": ";
-  jsonUInt(Out, Opts.Events);
-  Out += ", \"warmup\": ";
-  jsonUInt(Out, Opts.Warmup);
-  Out += ", \"repeats\": ";
-  jsonUInt(Out, Opts.Repeats);
-  Out += ", \"batch\": ";
-  jsonUInt(Out, Opts.BatchSize);
-  Out += ", \"seed\": ";
-  jsonUInt(Out, Opts.Seed);
-  // Recorded so the shard-scaling gate can tell "no speedup because the
-  // machine has too few cores" from a real regression.
-  Out += ", \"hardware_concurrency\": ";
-  jsonUInt(Out, std::thread::hardware_concurrency());
-  Out += ", \"reference\": ";
-  jsonString(Out, ReferenceName ? ReferenceName : "");
-  Out += "},\n  \"workloads\": [\n";
+                       AnalysisKind Reference) {
+  // hardware_concurrency is recorded so the shard-scaling gate can tell
+  // "no speedup because the machine has too few cores" from a real
+  // regression; each cell repeats it because comparison tooling reads
+  // cells in isolation.
+  unsigned Cores = std::thread::hardware_concurrency();
+  std::string Out;
+  appendf(Out,
+          "{\n  \"schema\": \"st-bench/v2\",\n  \"schema_version\": %u,\n"
+          "  \"suite\": \"%s\",\n  \"config\": {\"events\": %llu, "
+          "\"warmup\": %u, \"repeats\": %u, \"batch\": %llu, \"seed\": %llu,"
+          " \"hardware_concurrency\": %u, \"reference\": \"%s\"},\n"
+          "  \"workloads\": [\n",
+          SchemaVersion, Opts.Suite->Name, ULL(Opts.Events), Opts.Warmup,
+          Opts.Repeats, ULL(Opts.BatchSize), ULL(Opts.Seed), Cores,
+          analysisKindName(Reference));
   for (size_t W = 0; W != Workloads.size(); ++W) {
     const WorkloadResult &WR = Workloads[W];
-    Out += "    {\"name\": ";
-    jsonString(Out, WR.Profile->Name);
-    Out += ", \"threads\": ";
-    jsonUInt(Out, WR.Profile->Threads);
-    Out += ", \"events\": ";
-    jsonUInt(Out, WR.Events);
-    Out += ", \"drain_seconds\": ";
-    jsonNumber(Out, WR.DrainSeconds);
-    Out += W + 1 != Workloads.size() ? "},\n" : "}\n";
+    appendf(Out,
+            "    {\"name\": \"%s\", \"threads\": %u, \"events\": %llu, "
+            "\"drain_seconds\": %.9g}%s\n",
+            WR.Profile->Name, WR.Profile->Threads, ULL(WR.Events),
+            WR.DrainSeconds, W + 1 != Workloads.size() ? "," : "");
   }
   Out += "  ],\n  \"results\": [\n";
   size_t Total = 0, Emitted = 0;
@@ -525,61 +517,37 @@ std::string jsonReport(const Options &Opts,
   for (const WorkloadResult &WR : Workloads) {
     // The reference cell for relative costs lives in the same workload,
     // keeping the ratio free of cross-workload generation differences.
-    const CellResult *Ref = nullptr;
-    for (const CellResult &C : WR.Cells)
-      if (!C.Shards && ReferenceName &&
-          std::strcmp(analysisKindName(C.Kind), ReferenceName) == 0)
-        Ref = &C;
+    const CellResult *Ref = WR.find(Reference);
     for (const CellResult &C : WR.Cells) {
-      Out += "    {\"workload\": ";
-      jsonString(Out, C.Workload.c_str());
-      Out += ", \"analysis\": ";
-      jsonString(Out, analysisKindName(C.Kind));
-      if (C.Shards) {
-        Out += ", \"shards\": ";
-        jsonUInt(Out, C.Shards);
-        if (C.Shards > 1) {
-          Out += ", \"scaling_efficiency\": ";
-          jsonNumber(Out, C.ScalingEfficiency);
-        }
-      }
-      Out += ", \"events\": ";
-      jsonUInt(Out, C.Events);
-      // Per-cell copy of the host's core count: comparison tooling reads
-      // cells in isolation, and a shard cell's numbers are only
-      // meaningful against the hardware they ran on.
-      Out += ", \"hardware_concurrency\": ";
-      jsonUInt(Out, std::thread::hardware_concurrency());
-      Out += ",\n     \"seconds\": [";
-      for (size_t I = 0; I != C.Seconds.size(); ++I) {
-        if (I)
-          Out += ", ";
-        jsonNumber(Out, C.Seconds[I]);
-      }
-      Out += "], \"seconds_median\": ";
-      jsonNumber(Out, C.MedianSeconds);
-      Out += ",\n     \"ns_per_event\": ";
-      jsonNumber(Out, C.nsPerEvent());
-      Out += ", \"events_per_sec\": ";
-      jsonNumber(Out, C.eventsPerSec());
-      if (Ref && Ref->MedianSeconds > 0) {
-        Out += ", \"relative_cost\": ";
-        jsonNumber(Out, C.MedianSeconds / Ref->MedianSeconds);
-      }
-      if (WR.DrainSeconds > 0) {
-        Out += ", \"slowdown_vs_drain\": ";
-        jsonNumber(Out, (WR.DrainSeconds + C.MedianSeconds) /
-                            WR.DrainSeconds);
-      }
-      Out += ",\n     \"peak_footprint_bytes\": ";
-      jsonUInt(Out, C.PeakFootprintBytes);
-      Out += ", \"final_footprint_bytes\": ";
-      jsonUInt(Out, C.FinalFootprintBytes);
-      Out += ", \"dynamic_races\": ";
-      jsonUInt(Out, C.DynamicRaces);
-      Out += ", \"static_races\": ";
-      jsonUInt(Out, C.StaticRaces);
-      Out += ++Emitted != Total ? "},\n" : "}\n";
+      appendf(Out, "    {\"workload\": \"%s\", \"analysis\": \"%s\"",
+              WR.Profile->Name, analysisKindName(C.Kind));
+      if (C.Shards)
+        appendf(Out, ", \"shards\": %u", C.Shards);
+      if (C.Shards > 1)
+        appendf(Out, ", \"scaling_efficiency\": %.9g", C.ScalingEfficiency);
+      appendf(Out,
+              ", \"events\": %llu, \"hardware_concurrency\": %u,\n"
+              "     \"seconds\": [",
+              ULL(C.Events), Cores);
+      for (size_t I = 0; I != C.Seconds.size(); ++I)
+        appendf(Out, "%s%.9g", I ? ", " : "", C.Seconds[I]);
+      appendf(Out,
+              "], \"seconds_median\": %.9g,\n     \"ns_per_event\": %.9g, "
+              "\"events_per_sec\": %.9g",
+              C.MedianSeconds, C.nsPerEvent(), C.eventsPerSec());
+      if (Ref && Ref->MedianSeconds > 0)
+        appendf(Out, ", \"relative_cost\": %.9g",
+                C.MedianSeconds / Ref->MedianSeconds);
+      if (WR.DrainSeconds > 0)
+        appendf(Out, ", \"slowdown_vs_drain\": %.9g",
+                (WR.DrainSeconds + C.MedianSeconds) / WR.DrainSeconds);
+      appendf(Out,
+              ",\n     \"peak_footprint_bytes\": %llu, "
+              "\"final_footprint_bytes\": %llu, \"dynamic_races\": %llu, "
+              "\"static_races\": %u}%s\n",
+              ULL(C.PeakFootprintBytes), ULL(C.FinalFootprintBytes),
+              ULL(C.DynamicRaces), C.StaticRaces,
+              ++Emitted != Total ? "," : "");
     }
   }
   Out += "  ]\n}\n";
@@ -591,7 +559,7 @@ std::string jsonReport(const Options &Opts,
 //===----------------------------------------------------------------------===//
 
 void printTable(const std::vector<WorkloadResult> &Workloads,
-                const char *ReferenceName) {
+                AnalysisKind Reference) {
   for (const WorkloadResult &WR : Workloads) {
     std::printf("%s (%u threads, %llu events, drain %.1f ms)\n",
                 WR.Profile->Name, WR.Profile->Threads,
@@ -599,11 +567,7 @@ void printTable(const std::vector<WorkloadResult> &Workloads,
                 WR.DrainSeconds * 1e3);
     std::printf("  %-9s %12s %14s %9s %10s %7s\n", "analysis", "ns/event",
                 "events/sec", "vs-ref", "peak-KiB", "races");
-    const CellResult *Ref = nullptr;
-    for (const CellResult &C : WR.Cells)
-      if (!C.Shards && ReferenceName &&
-          std::strcmp(analysisKindName(C.Kind), ReferenceName) == 0)
-        Ref = &C;
+    const CellResult *Ref = WR.find(Reference);
     for (const CellResult &C : WR.Cells) {
       char RefBuf[16] = "-";
       if (C.Shards > 1) {
@@ -614,14 +578,10 @@ void printTable(const std::vector<WorkloadResult> &Workloads,
         std::snprintf(RefBuf, sizeof(RefBuf), "%.2fx",
                       C.MedianSeconds / Ref->MedianSeconds);
       }
-      char NameBuf[24];
+      std::string Name = analysisKindName(C.Kind);
       if (C.Shards)
-        std::snprintf(NameBuf, sizeof(NameBuf), "%s/%u",
-                      analysisKindName(C.Kind), C.Shards);
-      else
-        std::snprintf(NameBuf, sizeof(NameBuf), "%s",
-                      analysisKindName(C.Kind));
-      std::printf("  %-9s %12.1f %14.0f %9s %10.0f %7llu\n", NameBuf,
+        Name += "/" + std::to_string(C.Shards);
+      std::printf("  %-9s %12.1f %14.0f %9s %10.0f %7llu\n", Name.c_str(),
                   C.nsPerEvent(), C.eventsPerSec(), RefBuf,
                   static_cast<double>(C.PeakFootprintBytes) / 1024,
                   static_cast<unsigned long long>(C.DynamicRaces));
@@ -638,23 +598,23 @@ int main(int Argc, char **Argv) {
 
   // Relative costs are reported against FT2 when the selection includes
   // it (the paper's own baseline); otherwise against the first analysis.
-  const char *ReferenceName = nullptr;
-  for (AnalysisKind K : Opts.Analyses)
-    if (K == AnalysisKind::FT2)
-      ReferenceName = analysisKindName(K);
-  if (!ReferenceName && !Opts.Analyses.empty())
-    ReferenceName = analysisKindName(Opts.Analyses.front());
+  AnalysisKind Reference = Opts.Analyses.front();
+  if (std::count(Opts.Analyses.begin(), Opts.Analyses.end(),
+                 AnalysisKind::FT2))
+    Reference = AnalysisKind::FT2;
 
   std::vector<WorkloadResult> Workloads;
-  for (const std::string &Name : Opts.Workloads) {
-    const WorkloadProfile *P = findProfile(Name.c_str());
-    if (!P) {
-      std::fprintf(stderr, "error: unknown workload '%s'\n", Name.c_str());
-      return 1;
-    }
+  for (const WorkloadProfile *P : Opts.Workloads) {
     WorkloadResult WR;
     WR.Profile = P;
-    WR.DrainSeconds = measureDrain(*P, Opts);
+    std::vector<double> Drains;
+    for (const RunReport &Rep : runTrials(*P, Opts, std::nullopt))
+      Drains.push_back(Rep.WallSeconds);
+    WR.DrainSeconds = median(std::move(Drains));
+    if (Opts.Suite->Render) {
+      WorkloadGenerator Gen(*P, eventsFor(*P, Opts), Opts.Seed);
+      WR.Characteristics = measureCharacteristics(Gen);
+    }
     for (AnalysisKind K : Opts.Analyses) {
       if (!Opts.Quiet) {
         std::fprintf(stderr, "bench: %s / %s...\n", P->Name,
@@ -667,7 +627,7 @@ int main(int Argc, char **Argv) {
     // Shard-scaling column for this workload: one cell per shard count,
     // then efficiency against the 1-shard anchor measured in this run.
     for (const ShardCellSpec &SC : Opts.Suite->ShardCells) {
-      if (SC.Workload != Name || !isShardable(SC.Kind))
+      if (SC.Workload != P->Name || !isShardable(SC.Kind))
         continue;
       size_t First = WR.Cells.size();
       for (unsigned Shards : Opts.ShardCounts) {
@@ -690,7 +650,7 @@ int main(int Argc, char **Argv) {
     Workloads.push_back(std::move(WR));
   }
 
-  std::string Report = jsonReport(Opts, Workloads, ReferenceName);
+  std::string Report = jsonReport(Opts, Workloads, Reference);
   if (std::strcmp(Opts.OutPath, "-") == 0) {
     std::fwrite(Report.data(), 1, Report.size(), stdout);
   } else {
@@ -708,7 +668,11 @@ int main(int Argc, char **Argv) {
     if (!Opts.Quiet)
       std::fprintf(stderr, "bench: wrote %s\n", Opts.OutPath);
   }
-  if (!Opts.Quiet)
-    printTable(Workloads, ReferenceName);
+  if (Opts.Quiet)
+    return 0;
+  if (Opts.Suite->Render)
+    std::fputs(Opts.Suite->Render(Workloads).c_str(), stdout);
+  else
+    printTable(Workloads, Reference);
   return 0;
 }
