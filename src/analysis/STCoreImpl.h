@@ -19,81 +19,23 @@
 
 #include "analysis/STCore.h"
 
-#include "analysis/Footprint.h"
-
-#include <unordered_set>
-
 namespace st {
-namespace st_core_detail {
-
-/// Charges each shared list buffer and release clock exactly once, however
-/// many variables reference it (lists and clocks are shared snapshots).
-struct SharedFootprint {
-  std::unordered_set<const void *> Seen;
-  size_t Bytes = 0;
-
-  void addList(const CSList &L) {
-    if (!Seen.insert(&L).second)
-      return;
-    Bytes += L.capacity() * sizeof(CSEntry);
-    for (const CSEntry &E : L)
-      addClock(E.C);
-  }
-  void addListRef(const CSListRef &R) {
-    if (R)
-      addList(*R);
-  }
-  void addClock(const std::shared_ptr<VectorClock> &C) {
-    if (C && Seen.insert(C.get()).second)
-      Bytes += sizeof(VectorClock) + C->footprintBytes();
-  }
-};
-
-inline size_t extraFootprint(const ExtraMap &E) {
-  size_t N = unorderedFootprint(E);
-  for (const auto &KV : E)
-    N += unorderedFootprint(KV.second);
-  return N;
-}
-
-} // namespace st_core_detail
 
 template <typename Policy>
 size_t STCore<Policy>::metadataFootprintBytes() const {
-  using st_core_detail::SharedFootprint;
   size_t N = this->baseFootprintBytes() +
              Vars.capacity() * sizeof(VarState) +
-             Locks.capacity() * sizeof(LockState);
-  SharedFootprint Shared;
-  for (const CSList &L : ActiveCS)
-    Shared.addList(L);
-  N += CSSnapshot.capacity() * sizeof(CSListRef);
-  for (const CSListRef &R : CSSnapshot)
-    Shared.addListRef(R);
-  for (const VarState &V : Vars) {
-    Shared.addListRef(V.LW);
-    Shared.addListRef(V.LR);
-    if (V.RShared)
-      N += sizeof(VectorClock) + V.RShared->footprintBytes();
-    if (V.LRShared) {
-      N += unorderedFootprint(*V.LRShared);
-      for (const auto &KV : *V.LRShared)
-        Shared.addListRef(KV.second);
-    }
-    if (V.Er) {
-      N += st_core_detail::extraFootprint(*V.Er);
-      for (const auto &KV : *V.Er)
-        for (const auto &LC : KV.second)
-          Shared.addClock(LC.second);
-    }
-    if (V.Ew) {
-      N += st_core_detail::extraFootprint(*V.Ew);
-      for (const auto &KV : *V.Ew)
-        for (const auto &LC : KV.second)
-          Shared.addClock(LC.second);
-    }
-  }
-  N += Shared.Bytes;
+             Locks.capacity() * sizeof(LockState) +
+             Active.capacity() * sizeof(CSHandle) + Arena.footprintBytes();
+  N += Reads.footprintBytes([](const SharedReads &S) {
+    return S.R.footprintBytes() + S.L.capacity() * sizeof(CSHandle);
+  });
+  N += ExtraPool.footprintBytes([](const Extras &X) {
+    return (X.R.capacity() + X.W.capacity()) * sizeof(ExtraEntry);
+  });
+  N += (Residual.capacity() + WResidual.capacity()) * sizeof(ExtraEntry) +
+       Walk.capacity() * sizeof(Section) +
+       Unresolved.capacity() * sizeof(ThreadId);
   for (const LockState &L : Locks) {
     if constexpr (Policy::SplitClocks)
       N += L.HRel.footprintBytes() + L.PRel.footprintBytes();
@@ -104,77 +46,107 @@ size_t STCore<Policy>::metadataFootprintBytes() const {
 }
 
 template <typename Policy>
-LockClockMap STCore<Policy>::multiCheck(const CSList &L, ThreadId U, Epoch A,
-                                        const Event &Ev, VectorClock &Pt) {
-  LockClockMap E;
-  // The list owner's accesses are PO-ordered before the current thread's
-  // only when they are the same thread; then nothing below applies
-  // (docs/architecture.md, SmartTrack interpretation note 1).
-  if (U == Ev.Tid)
-    return E;
-  for (size_t I = L.size(); I-- > 0;) { // tail (outermost) to head
-    const CSEntry &CS = L[I];
-    // Release ordered before the current access? Subsumes inner sections
-    // and the race check (Algorithm 3 line 29). Unreleased sections hold ∞
-    // in the owner's entry and never pass.
-    if (CS.C->get(U) <= Pt.get(U))
-      return E;
+bool STCore<Policy>::walkSections(CSHandle L, ThreadId U, ThreadId Tid,
+                                  VectorClock &Pt,
+                                  std::vector<ExtraEntry> &Res) {
+  if (L == NoCS)
+    return false;
+  // A release ordered before the current access subsumes every section
+  // released earlier and the race check (Algorithm 3 line 29), so the walk
+  // goes from the latest release down. Unreleased sections hold ∞ in the
+  // owner's entry: they come first and never pass. When releases nest,
+  // this is outermost to innermost; a non-LIFO release (acq a, acq b,
+  // rel a, rel b) puts the inner section b first.
+  Walk.clear();
+  for (CSHandle N = L; N != NoCS; N = Arena.next(N)) {
+    CSHandle C = Arena.clockOf(N);
+    Walk.push_back({Arena.clock(C).get(U), C, Arena.lock(N)});
+  }
+  // Stable ascending insertion sort; the list is innermost first, so for
+  // nested releases it is already sorted and this costs one compare per
+  // section. Ties (open sections) keep the outermost last.
+  for (size_t I = 1; I < Walk.size(); ++I)
+    for (size_t J = I; J > 0 && Walk[J - 1].Released > Walk[J].Released; --J)
+      std::swap(Walk[J - 1], Walk[J]);
+  const ClockValue Known = Pt.get(U);
+  for (size_t I = Walk.size(); I-- > 0;) {
+    const Section &S = Walk[I];
+    if (S.Released <= Known)
+      return true;
     // Conflicting critical sections on a held lock: rule (a); the prior
     // section must have released the lock for us to hold it, so the clock
     // is final (Algorithm 3 lines 30-32). Under split clocks the stored
     // clock holds H at the release — left composition.
-    if (Held.holds(Ev.Tid, CS.M)) {
-      Pt.joinWith(*CS.C);
-      return E;
+    if (Held.holds(Tid, S.M)) {
+      Pt.joinWith(Arena.clock(S.Clock));
+      return true;
     }
-    E[CS.M] = CS.C; // residual (line 33)
+    Res.push_back({U, S.M, S.Clock}); // residual (line 33)
   }
-  if (!A.isNone() && !Pt.epochLeq(A))
-    this->reportRace(Ev, A); // line 34
-  return E;
+  return false;
 }
 
 template <typename Policy>
-void STCore<Policy>::applyExtraSlow(ExtraMap &ExtraRef, const Event &Ev,
-                                    VectorClock &Pt, bool Consume) {
-  ExtraMap *Extra = &ExtraRef;
-  for (auto It = Extra->begin(); It != Extra->end();) {
-    if (It->first == Ev.Tid) {
-      // Algorithm 3 line 23: the writer's own entries are dropped.
-      It = Consume ? Extra->erase(It) : std::next(It);
-      continue;
-    }
-    LockClockMap &LM = It->second;
-    for (LockId M : Held.of(Ev.Tid)) {
-      auto LIt = LM.find(M);
-      if (LIt == LM.end())
-        continue;
+ClockValue STCore<Policy>::lastRelease(CSHandle L, ThreadId U) const {
+  ClockValue Last = 0;
+  for (CSHandle N = L; N != NoCS; N = Arena.next(N))
+    Last = std::max(Last, Arena.clock(Arena.clockOf(N)).get(U));
+  return Last;
+}
+
+template <typename Policy>
+void STCore<Policy>::applyExtra(std::vector<ExtraEntry> &X, const Event &Ev,
+                                VectorClock &Pt, bool Consume) {
+  size_t Kept = 0;
+  for (size_t I = 0, N = X.size(); I != N; ++I) {
+    ExtraEntry Entry = X[I];
+    bool Drop = false;
+    if (Entry.T == Ev.Tid) {
+      Drop = Consume; // Algorithm 3 line 23: the writer's own entries
+    } else if (Held.holds(Ev.Tid, Entry.M)) {
       // These sections closed before we could hold M, so the clock is
       // final (never ∞ in any entry).
-      Pt.joinWith(*LIt->second);
-      if (Consume)
-        LM.erase(LIt);
+      Pt.joinWith(Arena.clock(Entry.Clock));
+      Drop = Consume;
     }
-    if (Consume && LM.empty())
-      It = Extra->erase(It);
+    if (Drop)
+      Arena.releaseClock(Entry.Clock);
     else
-      ++It;
+      X[Kept++] = Entry;
+  }
+  X.resize(Kept);
+}
+
+template <typename Policy>
+void STCore<Policy>::setExtra(VarState &V, bool Write, ThreadId U,
+                              const std::vector<ExtraEntry> &Res) {
+  if (!V.Extra)
+    V.Extra = ExtraPool.make();
+  Extras &XR = ExtraPool[V.Extra];
+  std::vector<ExtraEntry> &X = Write ? XR.W : XR.R;
+  size_t Kept = 0;
+  for (size_t I = 0, N = X.size(); I != N; ++I) {
+    if (X[I].T == U)
+      Arena.releaseClock(X[I].Clock);
+    else
+      X[Kept++] = X[I];
+  }
+  X.resize(Kept);
+  for (const ExtraEntry &Entry : Res) {
+    Arena.retainClock(Entry.Clock);
+    X.push_back({U, Entry.M, Entry.Clock});
   }
 }
 
 template <typename Policy>
-const CSListRef &STCore<Policy>::snapshotCS(ThreadId T) {
-  if (T >= CSSnapshot.size())
-    CSSnapshot.resize(T + 1);
-  CSListRef &S = CSSnapshot[T];
-  if (!S) {
-    if (T >= ActiveCS.size())
-      ActiveCS.resize(T + 1);
-    // One shared, materialized copy per epoch; every per-variable "copy"
-    // of the active list within this epoch is a pointer assignment.
-    S = std::make_shared<CSList>(materializeCSList(ActiveCS[T], T));
-  }
-  return S;
+void STCore<Policy>::freeSharedReads(VarState &V) {
+  SharedReads &S = Reads[V.Shared];
+  for (CSHandle L : S.L)
+    Arena.release(L);
+  S.L.clear();
+  S.R.clear();
+  Reads.free(V.Shared);
+  V.Shared = 0;
 }
 
 template <typename Policy> void STCore<Policy>::onRead(const Event &E) {
@@ -183,61 +155,71 @@ template <typename Policy> void STCore<Policy>::onRead(const Event &E) {
   VarState &V = varState(E.var());
   Epoch Now = Ht.epochOf(E.Tid);
 
-  if (!V.RShared && V.R == Now) {
-    ++Stats.ReadSameEpoch;
-    return; // [Read Same Epoch]
-  }
-  if (V.RShared && V.RShared->get(E.Tid) == Now.clock()) {
+  if (!V.Shared) {
+    if (V.R == Now) {
+      ++Stats.ReadSameEpoch;
+      return; // [Read Same Epoch]
+    }
+  } else if (Reads[V.Shared].R.get(E.Tid) == Now.clock()) {
     ++Stats.SharedSameEpoch;
     return; // [Shared Same Epoch]
   }
 
   // Algorithm 3 read lines 4-6: consume lost write-CS information.
-  applyExtra(V.Ew.get(), E, Pt, /*Consume=*/false);
+  if (V.Extra)
+    applyExtra(ExtraPool[V.Extra].W, E, Pt, /*Consume=*/false);
 
-  const CSListRef &Hcs = snapshotCS(E.Tid);
+  const CSHandle Hcs = snapshotCS(E.Tid);
 
-  if (!V.RShared) {
+  if (!V.Shared) {
     if (V.R.tid() == E.Tid && !V.R.isNone()) {
       ++Stats.ReadOwned; // [Read Owned]
-      V.LR = Hcs;
+      Arena.assign(V.LR, Hcs);
       V.R = Now;
       return;
     }
-    // [Read Exclusive] requires the prior access's *outermost* critical
-    // section release ordered before this read (Algorithm 3 line 11);
-    // otherwise CS information would be lost (Figure 4(b)).
+    // [Read Exclusive] requires the release of the prior access's last
+    // released critical section (its outermost one when releases nest)
+    // ordered before this read (Algorithm 3 line 11); otherwise CS
+    // information would be lost (Figure 4(b)).
     ThreadId U = V.R.tid();
-    const CSList &LRList = derefCSList(V.LR);
-    bool Ordered = LRList.empty() ? Pt.epochLeq(V.R)
-                                  : LRList.back().C->get(U) <= Pt.get(U);
+    bool Ordered = V.LR == NoCS ? Pt.epochLeq(V.R)
+                                : lastRelease(V.LR, U) <= Pt.get(U);
     if (Ordered) {
       ++Stats.ReadExclusive; // [Read Exclusive]
-      V.LR = Hcs;
+      Arena.assign(V.LR, Hcs);
       V.R = Now;
       return;
     }
     ++Stats.ReadShare; // [Read Share]
-    multiCheck(derefCSList(V.LW), V.W.tid(), V.W, E, Pt);
-    V.LRShared = std::make_unique<std::unordered_map<ThreadId, CSListRef>>();
-    (*V.LRShared)[U] = std::move(V.LR);
-    (*V.LRShared)[E.Tid] = Hcs;
-    V.RShared = std::make_unique<VectorClock>();
-    V.RShared->set(U, V.R.clock());
-    V.RShared->set(E.Tid, Now.clock());
+    Residual.clear();
+    multiCheck(V.LW, V.W.tid(), V.W, E, Pt, Residual);
+    uint32_t S = Reads.make();
+    SharedReads &SR = Reads[S];
+    SR.L.resize(std::max(U, E.Tid) + 1, NoCS);
+    SR.L[U] = V.LR; // moves V.LR's reference
+    V.LR = NoCS;
+    Arena.assign(SR.L[E.Tid], Hcs);
+    SR.R.set(U, V.R.clock());
+    SR.R.set(E.Tid, Now.clock());
+    V.Shared = S;
     V.R = Epoch::none();
     return;
   }
-  if (V.RShared->get(E.Tid) != 0) {
+  SharedReads &SR = Reads[V.Shared];
+  if (SR.R.get(E.Tid) != 0) {
     ++Stats.ReadSharedOwned; // [Read Shared Owned]
-    (*V.LRShared)[E.Tid] = Hcs;
-    V.RShared->set(E.Tid, Now.clock());
+    Arena.assign(SR.L[E.Tid], Hcs);
+    SR.R.set(E.Tid, Now.clock());
     return;
   }
   ++Stats.ReadShared; // [Read Shared]
-  multiCheck(derefCSList(V.LW), V.W.tid(), V.W, E, Pt);
-  (*V.LRShared)[E.Tid] = Hcs;
-  V.RShared->set(E.Tid, Now.clock());
+  Residual.clear();
+  multiCheck(V.LW, V.W.tid(), V.W, E, Pt, Residual);
+  if (E.Tid >= SR.L.size())
+    SR.L.resize(E.Tid + 1, NoCS);
+  Arena.assign(SR.L[E.Tid], Hcs);
+  SR.R.set(E.Tid, Now.clock());
 }
 
 template <typename Policy> void STCore<Policy>::onWrite(const Event &E) {
@@ -252,65 +234,76 @@ template <typename Policy> void STCore<Policy>::onWrite(const Event &E) {
   }
 
   // Algorithm 3 write lines 19-23: consume lost CS information. Writes
-  // conflict with reads and writes, so both maps contribute genuine
+  // conflict with reads and writes, so both lists contribute genuine
   // rule-(a) edges (docs/architecture.md, SmartTrack interpretation
   // note 2).
-  applyExtra(V.Er.get(), E, Pt, /*Consume=*/true);
-  applyExtra(V.Ew.get(), E, Pt, /*Consume=*/true);
+  if (V.Extra) {
+    Extras &XR = ExtraPool[V.Extra];
+    applyExtra(XR.R, E, Pt, /*Consume=*/true);
+    applyExtra(XR.W, E, Pt, /*Consume=*/true);
+    if (XR.R.empty() && XR.W.empty()) {
+      ExtraPool.free(V.Extra);
+      V.Extra = 0;
+    }
+  }
 
-  const CSListRef &Hcs = snapshotCS(E.Tid);
+  const CSHandle Hcs = snapshotCS(E.Tid);
 
-  if (!V.RShared) {
+  if (!V.Shared) {
     if (V.R.tid() == E.Tid && !V.R.isNone()) {
       ++Stats.WriteOwned; // [Write Owned]
     } else {
       ++Stats.WriteExclusive; // [Write Exclusive]
       ThreadId U = V.R.tid();
-      LockClockMap Res = multiCheck(derefCSList(V.LR), U, V.R, E, Pt);
-      if (!Res.empty()) {
-        if (!V.Er)
-          V.Er = std::make_unique<ExtraMap>();
-        if (!V.Ew)
-          V.Ew = std::make_unique<ExtraMap>();
-        (*V.Er)[U] = std::move(Res);
-        LockClockMap WRes =
-            multiCheck(derefCSList(V.LW), V.W.tid(), Epoch::none(), E, Pt);
-        if (!WRes.empty())
-          (*V.Ew)[U] = std::move(WRes);
+      Residual.clear();
+      multiCheck(V.LR, U, V.R, E, Pt, Residual);
+      if (!Residual.empty()) {
+        setExtra(V, /*Write=*/false, U, Residual);
+        WResidual.clear();
+        multiCheck(V.LW, V.W.tid(), Epoch::none(), E, Pt, WResidual);
+        if (!WResidual.empty())
+          setExtra(V, /*Write=*/true, U, WResidual);
       }
     }
   } else {
     ++Stats.WriteShared; // [Write Shared]
-    for (auto &KV : *V.LRShared) {
-      ThreadId U = KV.first;
-      if (U == E.Tid)
+    // Two passes over the readers in ascending thread order: every
+    // rule-(a) join first, then the race checks against the final P_t. A
+    // reader checked before another reader's join would miss the ordering
+    // that join brings (interpretation note 4).
+    SharedReads &SR = Reads[V.Shared];
+    Unresolved.clear();
+    for (ThreadId U = 0, N = static_cast<ThreadId>(SR.R.size()); U != N;
+         ++U) {
+      if (U == E.Tid || SR.R.get(U) == 0)
         continue;
-      Epoch A = Epoch::make(U, V.RShared->get(U));
-      if (A.clock() == 0)
-        A = Epoch::none();
-      LockClockMap Res = multiCheck(derefCSList(KV.second), U, A, E, Pt);
-      if (Res.empty())
+      Residual.clear();
+      if (!walkSections(SR.L[U], U, E.Tid, Pt, Residual))
+        Unresolved.push_back(U);
+      if (Residual.empty())
         continue;
-      if (!V.Er)
-        V.Er = std::make_unique<ExtraMap>();
-      if (!V.Ew)
-        V.Ew = std::make_unique<ExtraMap>();
-      (*V.Er)[U] = std::move(Res);
+      setExtra(V, /*Write=*/false, U, Residual);
       // Line 35: the last write's CS list matters for the thread that owns
-      // the last write (interpretation note 7).
+      // the last write (interpretation note 3).
       if (U == V.W.tid() && !V.W.isNone()) {
-        LockClockMap WRes =
-            multiCheck(derefCSList(V.LW), V.W.tid(), Epoch::none(), E, Pt);
-        if (!WRes.empty())
-          (*V.Ew)[U] = std::move(WRes);
+        WResidual.clear();
+        multiCheck(V.LW, V.W.tid(), Epoch::none(), E, Pt, WResidual);
+        if (!WResidual.empty())
+          setExtra(V, /*Write=*/true, U, WResidual);
       }
     }
-    V.LRShared.reset();
-    V.RShared.reset();
+    for (ThreadId U : Unresolved) {
+      Epoch A = Epoch::make(U, SR.R.get(U));
+      if (!Pt.epochLeq(A)) {
+        this->reportRace(E, A); // one dynamic race per access
+        break;
+      }
+    }
+    freeSharedReads(V);
   }
 
-  V.LW = Hcs; // line 36
-  V.LR = Hcs;
+  Arena.assign(V.LW, Hcs); // line 36
+  Arena.assign(V.LR, Hcs);
   V.W = Now; // line 37
   V.R = Now;
 }
@@ -331,12 +324,10 @@ template <typename Policy> void STCore<Policy>::onAcquire(const Event &E) {
   }
   // Lines 3-5: push a new critical section whose release clock is not yet
   // known; ∞ in the owner's entry makes ordering queries fail until then.
-  if (E.Tid >= ActiveCS.size())
-    ActiveCS.resize(E.Tid + 1);
-  CSList &H = ActiveCS[E.Tid];
-  H.insert(H.begin(), CSEntry{nullptr, E.lock()}); // clock made on demand
-  if (E.Tid < CSSnapshot.size())
-    CSSnapshot[E.Tid].reset();
+  // The clock is made on demand (snapshotCS).
+  if (E.Tid >= Active.size())
+    Active.resize(E.Tid + 1, NoCS);
+  Active[E.Tid] = Arena.push(Active[E.Tid], E.lock());
   Held.pushLock(E.Tid, E.lock());
   Ht.increment(E.Tid); // line 6
 }
@@ -359,22 +350,12 @@ template <typename Policy> void STCore<Policy>::onRelease(const Event &E) {
   // Lines 13-15: fill in the deferred release clock (the advance clock:
   // HB time under split clocks, for left composition when another
   // thread's MultiCheck joins this section) and pop the section.
-  assert(E.Tid < ActiveCS.size() && "release on thread with no sections");
-  CSList &H = ActiveCS[E.Tid];
-  for (size_t I = 0, N = H.size(); I != N; ++I) {
-    if (H[I].M == E.lock()) {
-      if (H[I].C)
-        *H[I].C = Ht; // deferred update; null means never shared
-      H.erase(H.begin() + static_cast<long>(I));
-      break;
-    }
-  }
+  ST_CHECK(E.Tid < Active.size());
+  Active[E.Tid] = Arena.remove(Active[E.Tid], E.lock(), Ht);
   if constexpr (Policy::SplitClocks) {
     L.HRel = Ht;
     L.PRel = Pt;
   }
-  if (E.Tid < CSSnapshot.size())
-    CSSnapshot[E.Tid].reset();
   Held.popLock(E.Tid, E.lock());
   Ht.increment(E.Tid); // line 16
 }

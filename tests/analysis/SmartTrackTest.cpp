@@ -3,10 +3,12 @@
 // Exercises Algorithm 3's machinery directly: CS lists and deferred release
 // clocks, MultiCheck's held-lock joins, the [Read Share]-over-[Read
 // Exclusive] behavior (Figure 4(b)), the extra metadata E^r/E^w (Figures
-// 4(c,d)), the epoch acquire-queue optimization, and case statistics.
+// 4(c,d)), the epoch acquire-queue optimization, and case statistics; and
+// the CSArena those lists live in (sharing, path copying, recycling).
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AnalysisRegistry.h"
 #include "analysis/FTOCore.h"
 #include "analysis/STCore.h"
 #include "trace/TraceText.h"
@@ -194,6 +196,69 @@ TEST(SmartTrackTest, LocksReleasedOutOfOrderStillTracked) {
   EXPECT_EQ(A.dynamicRaces(), 0u);
 }
 
+/// First race of \p K on \p Tr, or -1.
+long firstRace(AnalysisKind K, const Trace &Tr) {
+  auto A = createAnalysis(K);
+  A->processTrace(Tr);
+  const auto &Records = A->raceRecords();
+  return Records.empty() ? -1 : static_cast<long>(Records.front().EventIdx);
+}
+
+/// Unopt, FTO and ST agree on the first race for WCP, DC and WDC.
+void expectLadderAgrees(const Trace &Tr) {
+  const struct {
+    AnalysisKind Unopt, FTO, ST;
+  } Families[] = {
+      {AnalysisKind::UnoptWCP, AnalysisKind::FTOWCP, AnalysisKind::STWCP},
+      {AnalysisKind::UnoptDC, AnalysisKind::FTODC, AnalysisKind::STDC},
+      {AnalysisKind::UnoptWDC, AnalysisKind::FTOWDC, AnalysisKind::STWDC},
+  };
+  for (const auto &F : Families) {
+    long U = firstRace(F.Unopt, Tr);
+    EXPECT_EQ(U, firstRace(F.FTO, Tr)) << analysisKindName(F.FTO);
+    EXPECT_EQ(U, firstRace(F.ST, Tr)) << analysisKindName(F.ST);
+  }
+}
+
+TEST(SmartTrackTest, MultiCheckWalksSectionsInReleaseOrder) {
+  // T0 releases m2 before m0, so its inner section on m0 ends last and
+  // holds wr(x1). T1's rd(x0) under both locks must join the m0 section's
+  // release clock, not the outer m2 one (released before wr(x1)), or T1's
+  // later rd(x1) races spuriously.
+  expectLadderAgrees(traceFromText(R"(
+    T0: acq(m2)
+    T0: acq(m0)
+    T0: wr(x0)
+    T0: rel(m2)
+    T0: wr(x1)
+    T0: rel(m0)
+    T1: acq(m0)
+    T1: acq(m2)
+    T1: rd(x0)
+    T1: rel(m0)
+    T1: rd(x1)
+  )"));
+}
+
+TEST(SmartTrackTest, WriteSharedJoinsEveryReaderBeforeChecking) {
+  // T1's wr(x1) under m1 joins T2's section on m1, which is ordered after
+  // T0's section (rule (a) on x0) and so after T0's earlier rd(x1). Checking
+  // T0's read before joining T2's section reports a spurious race.
+  expectLadderAgrees(traceFromText(R"(
+    T2: rd(x1)
+    T0: rd(x1)
+    T0: acq(m1)
+    T0: rd(x0)
+    T0: rel(m1)
+    T2: acq(m1)
+    T2: wr(x0)
+    T2: rd(x1)
+    T2: rel(m1)
+    T1: acq(m1)
+    T1: wr(x1)
+  )"));
+}
+
 TEST(SmartTrackTest, WriteSharedChecksEveryReader) {
   // Two unordered readers, then an unordered writer: exactly one dynamic
   // race is counted at the write (paper §5.1), and the verdict matches FTO.
@@ -214,5 +279,64 @@ TEST(SmartTrackTest, FootprintTracksCSLists) {
   A.processTrace(B.build());
   EXPECT_GT(A.footprintBytes(), Empty);
 }
+
+TEST(CSArenaTest, NonLIFOReleasePathCopiesAndSharesClocks) {
+  CSArena A;
+  VectorClock Rel = VectorClock::makeSingleton(1, 7);
+  // H_1 = [b, a] (innermost first), shared into metadata as Snap.
+  CSHandle H = A.push(A.push(NoCS, /*a=*/0), /*b=*/1);
+  A.materialize(H, 1);
+  CSHandle Snap = NoCS;
+  A.assign(Snap, H);
+  CSHandle ClockB = A.clockOf(H), ClockA = A.clockOf(A.next(H));
+  EXPECT_EQ(A.clock(ClockA).get(1), InfiniteClock);
+  // rel(a) while b is still held: b's node is copied, its clock shared.
+  H = A.remove(H, 0, Rel);
+  ASSERT_NE(H, Snap);
+  EXPECT_EQ(A.lock(H), 1u);
+  EXPECT_EQ(A.next(H), NoCS);
+  EXPECT_EQ(A.clockOf(H), ClockB);
+  // The snapshot still lists a, and sees its release time.
+  EXPECT_EQ(A.clockOf(A.next(Snap)), ClockA);
+  EXPECT_EQ(A.clock(ClockA).get(1), 7u);
+  H = A.remove(H, 1, Rel);
+  EXPECT_EQ(H, NoCS);
+  EXPECT_EQ(A.clock(ClockB).get(1), 7u);
+  A.release(Snap);
+}
+
+TEST(CSArenaTest, RecycledRecordsKeepTheFootprintFlat) {
+  CSArena A;
+  VectorClock Rel;
+  Rel.set(20, 3); // wide enough to live on the heap
+  auto Cycle = [&] {
+    CSHandle H = A.push(A.push(A.push(NoCS, 0), 1), 2);
+    A.materialize(H, 20);
+    CSHandle Snap = NoCS;
+    A.assign(Snap, H);
+    for (LockId M : {2u, 0u, 1u}) // one non-LIFO release
+      H = A.remove(H, M, Rel);
+    A.release(Snap);
+  };
+  Cycle();
+  size_t Warm = A.footprintBytes();
+  for (int I = 0; I != 100; ++I)
+    Cycle();
+  EXPECT_EQ(A.footprintBytes(), Warm);
+}
+
+#if ST_CHECKS_ENABLED
+TEST(CSArenaDeathTest, UseAfterRecycleIsCaught) {
+  CSArena A;
+  CSHandle H = A.push(NoCS, 3);
+  A.release(H);
+  EXPECT_DEATH((void)A.lock(H), "PoisonLock");
+  CSHandle H2 = A.push(NoCS, 4);
+  A.materialize(H2, 0);
+  CSHandle C = A.clockOf(H2);
+  A.release(H2);
+  EXPECT_DEATH(A.releaseClock(C), "Refs > 0");
+}
+#endif
 
 } // namespace
