@@ -7,8 +7,7 @@
 #include "loadgen/Loadgen.h"
 
 #include "loadgen/ExpArrivals.h"
-#include "serve/Frame.h"
-#include "serve/Socket.h"
+#include "serve/Client.h"
 #include "support/Bytes.h"
 #include "trace/Stb.h"
 #include "workload/Workload.h"
@@ -16,12 +15,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <thread>
 #include <vector>
-
-#include <sys/socket.h>
-#include <sys/time.h>
 
 namespace st {
 
@@ -34,25 +29,6 @@ uint64_t elapsedNs(SteadyClock::time_point Since) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           SteadyClock::now() - Since)
           .count());
-}
-
-/// Extracts "KEY":N from an NDJSON line; false when absent.
-bool scanJsonUInt(std::string_view Line, std::string_view Key,
-                  uint64_t &Out) {
-  size_t P = Line.find(Key);
-  if (P == std::string_view::npos)
-    return false;
-  P += Key.size();
-  uint64_t V = 0;
-  bool Any = false;
-  while (P < Line.size() && Line[P] >= '0' && Line[P] <= '9') {
-    V = V * 10 + static_cast<uint64_t>(Line[P] - '0');
-    ++P;
-    Any = true;
-  }
-  if (Any)
-    Out = V;
-  return Any;
 }
 
 /// What one worker accumulates; merged after join, so workers share
@@ -70,72 +46,6 @@ struct WorkerState {
   uint64_t Races = 0;
 };
 
-/// Everything the reader thread of one request collects. Joined before
-/// use, so no synchronization beyond the thread join.
-struct ReaderState {
-  bool SawError = false;
-  bool SawStreamSummary = false;
-  uint64_t EndNs = 0; // elapsed-ns stamp at stream-SUMMARY receipt
-  uint64_t Races = 0;
-  uint64_t ServiceNs = 0;
-  bool Capture = false;
-  std::string RaceBytes;
-  std::string SummaryBytes;
-  std::string ErrorBytes;
-};
-
-void drainFrames(int Fd, SteadyClock::time_point Start, ReaderState &RS) {
-  FdByteSource SockIn(Fd);
-  FrameReader Frames(SockIn);
-  Frame F;
-  int R;
-  while ((R = Frames.next(F)) > 0) {
-    switch (F.Type) {
-    case FrameType::Hello:
-      break; // accepted configuration; nothing to account
-    case FrameType::Race:
-      if (RS.Capture)
-        RS.RaceBytes += F.Payload;
-      break;
-    case FrameType::Diag:
-      break;
-    case FrameType::Summary: {
-      if (RS.Capture)
-        RS.SummaryBytes += F.Payload;
-      uint64_t V = 0;
-      // The final stream line closes the measurement window: stamp its
-      // receipt, and read the accounting fields off it.
-      if (scanJsonUInt(F.Payload, "\"total_dynamic_races\":", V)) {
-        RS.EndNs = elapsedNs(Start);
-        RS.SawStreamSummary = true;
-        RS.Races = V;
-        scanJsonUInt(F.Payload, "\"service_ns\":", RS.ServiceNs);
-      }
-      break;
-    }
-    case FrameType::Error:
-      if (RS.Capture)
-        RS.ErrorBytes += F.Payload;
-      RS.SawError = true;
-      break;
-    default:
-      break; // EVENTS/EOS never flow server -> client
-    }
-  }
-  if (R < 0 || SockIn.error())
-    RS.SawError = true;
-}
-
-void setRecvTimeout(int Fd, double Seconds) {
-  if (Seconds <= 0)
-    return;
-  struct timeval Tv;
-  Tv.tv_sec = static_cast<time_t>(Seconds);
-  Tv.tv_usec = static_cast<suseconds_t>(
-      (Seconds - static_cast<double>(Tv.tv_sec)) * 1e6);
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-}
-
 void runWorker(const LoadgenOptions &Opts, const ServeAddress &Addr,
                unsigned Worker, SteadyClock::time_point Start,
                WorkerState &WS) {
@@ -143,12 +53,9 @@ void runWorker(const LoadgenOptions &Opts, const ServeAddress &Addr,
       static_cast<uint64_t>(Opts.DurationSeconds * 1e9);
   ExpArrivals Arrivals(arrivalSeed(Opts.Seed, Worker),
                        meanArrivalGapNs(Opts));
-  std::string Hello = encodeHello([&] {
-    HelloOptions H;
-    H.Analyses = Opts.Analyses;
-    H.Shards = Opts.Shards;
-    return H;
-  }());
+  HelloOptions Hello;
+  Hello.Analyses = Opts.Analyses;
+  Hello.Shards = Opts.Shards;
 
   uint64_t NextNs = Arrivals.nextGapNs();
   for (uint64_t Request = 0; NextNs <= DurationNs;
@@ -162,77 +69,52 @@ void runWorker(const LoadgenOptions &Opts, const ServeAddress &Addr,
     ++WS.Requests;
     WS.EventsSent += Payload.Events;
 
-    std::string ConnErr;
-    int Fd = connectServeAddress(Addr, &ConnErr);
-    if (Fd < 0) {
-      ++WS.Errors;
-      continue;
+    RequestOutcome O;
+    O.Events = Payload.Events;
+    serve::Client::FrameHandler Capture;
+    if (Opts.OnRequest)
+      Capture = [&O](const Frame &F) {
+        if (F.Type == FrameType::Race)
+          O.RaceBytes += F.Payload;
+        else if (F.Type == FrameType::Summary)
+          O.SummaryBytes += F.Payload;
+        else if (F.Type == FrameType::Error)
+          O.ErrorBytes += F.Payload;
+      };
+    serve::Client Conn(std::move(Capture));
+    if (Conn.connect(Addr, Opts.RecvTimeoutSeconds)) {
+      Conn.sendHello(Hello);
+      // Sleep to the scheduled instant; measure from it even when late.
+      uint64_t Now = elapsedNs(Start);
+      if (Now < NextNs)
+        std::this_thread::sleep_for(std::chrono::nanoseconds(NextNs - Now));
+      else if (Now - NextNs > LateSendToleranceNs)
+        ++WS.LateSends;
+      if (Conn.sendEvents(Payload.Bytes, Opts.ChunkBytes))
+        WS.BytesSent += Payload.Bytes.size();
     }
-    setRecvTimeout(Fd, Opts.RecvTimeoutSeconds);
+    serve::ClientOutcome R = Conn.finish();
 
-    FdByteSink SockOut(Fd);
-    FrameWriter Writer(SockOut);
-    bool Ok = Writer.write(FrameType::Hello, Hello);
-
-    ReaderState RS;
-    RS.Capture = static_cast<bool>(Opts.OnRequest);
-    std::thread Reader(
-        [Fd, Start, &RS] { drainFrames(Fd, Start, RS); });
-
-    // Sleep to the scheduled instant; measure from it even when late.
-    uint64_t Now = elapsedNs(Start);
-    if (Now < NextNs) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(NextNs - Now));
-    } else if (Now - NextNs > LateSendToleranceNs) {
-      ++WS.LateSends;
-    }
-    const uint64_t ScheduledNs = NextNs;
-
-    size_t Off = 0;
-    while (Ok && Off < Payload.Bytes.size()) {
-      size_t N = std::min(Opts.ChunkBytes, Payload.Bytes.size() - Off);
-      Ok = Writer.write(FrameType::Events,
-                        std::string_view(Payload.Bytes.data() + Off, N));
-      Off += N;
-    }
-    if (Ok)
-      Ok = Writer.write(FrameType::Eos, std::string_view());
-    // Half-close so the server sees a definite end of upload even if a
-    // frame was lost to an earlier send failure.
-    ::shutdown(Fd, SHUT_WR);
-    Reader.join();
-    closeFd(Fd);
-
-    WS.BytesSent += Off;
-    bool CompletedOk = Ok && !RS.SawError && RS.SawStreamSummary;
-    if (CompletedOk) {
+    O.Ok = R.completed();
+    O.ServiceNs = R.ServiceNs;
+    O.Races = R.TotalRaces;
+    if (O.Ok) {
+      uint64_t EndNs = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(R.SummaryAt -
+                                                               Start)
+              .count());
+      O.LatencyNs = EndNs > NextNs ? EndNs - NextNs : 0;
       ++WS.Completed;
       WS.EventsCompleted += Payload.Events;
-      WS.Races += RS.Races;
-      uint64_t Latency =
-          RS.EndNs > ScheduledNs ? RS.EndNs - ScheduledNs : 0;
-      WS.Latency.record(Latency);
-      if (RS.ServiceNs)
-        WS.Service.record(RS.ServiceNs);
+      WS.Races += O.Races;
+      WS.Latency.record(O.LatencyNs);
+      if (O.ServiceNs)
+        WS.Service.record(O.ServiceNs);
     } else {
       ++WS.Errors;
     }
-
-    if (Opts.OnRequest) {
-      RequestOutcome O;
-      O.Ok = CompletedOk;
-      O.LatencyNs = CompletedOk && RS.EndNs > ScheduledNs
-                        ? RS.EndNs - ScheduledNs
-                        : 0;
-      O.ServiceNs = RS.ServiceNs;
-      O.Races = RS.Races;
-      O.Events = Payload.Events;
-      O.RaceBytes = std::move(RS.RaceBytes);
-      O.SummaryBytes = std::move(RS.SummaryBytes);
-      O.ErrorBytes = std::move(RS.ErrorBytes);
+    if (Opts.OnRequest)
       Opts.OnRequest(Worker, Request, O);
-    }
   }
 }
 

@@ -28,12 +28,13 @@
 ///      run whose generator could not sustain the offered rate is
 ///      visibly degraded instead of silently closed-loop.
 ///
-/// One request is one full STS1 conversation on a fresh connection:
-/// connect + HELLO ahead of the scheduled instant (handshake cost is
-/// not the server's report latency), then EVENTS chunks + EOS at the
-/// scheduled time, with a dedicated reader thread draining RACE/SUMMARY
-/// frames concurrently (docs/serving.md explains why neither side may
-/// block on a full send buffer). Request payloads come from
+/// One request is one full STS1 conversation on a fresh connection,
+/// run through serve::Client (serve/Client.h): connect + HELLO ahead of
+/// the scheduled instant (handshake cost is not the server's report
+/// latency), then EVENTS chunks + EOS at the scheduled time, with the
+/// client's reader thread draining RACE/SUMMARY frames concurrently
+/// (docs/serving.md explains why neither side may block on a full send
+/// buffer). Request payloads come from
 /// buildRequestPayload() — a pure function of (options, worker,
 /// request index) — so the same --seed offers bit-identical
 /// per-connection event streams on every run.
@@ -108,12 +109,13 @@ struct LoadgenOptions {
   EventCountDist Dist = EventCountDist::Fixed;
   /// EVENTS frame chunking (stays under the frame payload cap).
   size_t ChunkBytes = 64 * 1024;
-  /// Socket receive timeout; a hung server fails the request instead of
-  /// wedging a worker.
+  /// Socket send/receive timeout; a hung server fails the request
+  /// instead of wedging a worker.
   double RecvTimeoutSeconds = 30;
-  /// Test hook, called from worker threads after each request completes
-  /// (at most one call per worker at a time; distinct workers call
-  /// concurrently). Installing it turns on frame-byte capture.
+  /// Test hook, called from worker threads once per request after it
+  /// completes or fails, a failed connect included (at most one call per
+  /// worker at a time; distinct workers call concurrently). Installing
+  /// it turns on frame-byte capture.
   std::function<void(unsigned Worker, uint64_t Request,
                      const RequestOutcome &Outcome)>
       OnRequest;
@@ -134,6 +136,7 @@ struct LoadgenReport {
   /// Events encoded into sent payloads (all requests / completed only).
   uint64_t EventsSent = 0;
   uint64_t EventsCompleted = 0;
+  /// Payload bytes of requests whose EVENTS frames all went out.
   uint64_t BytesSent = 0;
   /// Sum of total_dynamic_races over completed requests.
   uint64_t Races = 0;

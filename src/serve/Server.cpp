@@ -13,13 +13,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <functional>
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 using namespace st;
@@ -87,18 +85,6 @@ private:
   bool Breached = false;
   std::string Code, Reason;
 };
-
-void setRecvTimeout(int Fd, double Seconds) {
-  if (Seconds <= 0)
-    return;
-  timeval Tv;
-  Tv.tv_sec = static_cast<time_t>(Seconds);
-  Tv.tv_usec = static_cast<suseconds_t>(
-      (Seconds - std::floor(Seconds)) * 1e6);
-  if (Tv.tv_sec == 0 && Tv.tv_usec == 0)
-    Tv.tv_usec = 1;
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-}
 
 /// How one connection ended; each maps to exactly one ServerStats bucket.
 enum class Outcome { Completed, Evicted, Rejected, Protocol };
@@ -243,7 +229,7 @@ void Server::workerLoop() {
 }
 
 void Server::handleConnection(int Fd) {
-  setRecvTimeout(Fd, Opts.TimeBudgetSeconds);
+  setSocketTimeout(Fd, SO_RCVTIMEO, Opts.TimeBudgetSeconds);
   FdByteSource In(Fd);
   FdByteSink Out(Fd);
   FrameReader Reader(In, Opts.MaxFramePayload, Opts.Session.IoBufferBytes);

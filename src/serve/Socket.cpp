@@ -12,6 +12,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -225,6 +226,19 @@ int st::connectServeAddress(const ServeAddress &A, std::string *Err) {
   if (Fd < 0)
     sysFail(Err, "connect");
   return Fd;
+}
+
+void st::setSocketTimeout(int Fd, int Opt, double Seconds) {
+  if (Seconds <= 0)
+    return;
+  timeval Tv;
+  Tv.tv_sec = static_cast<time_t>(Seconds);
+  Tv.tv_usec = static_cast<suseconds_t>(
+      (Seconds - static_cast<double>(Tv.tv_sec)) * 1e6);
+  // A zero timeval means "no timeout": round the tiniest bound up.
+  if (Tv.tv_sec == 0 && Tv.tv_usec == 0)
+    Tv.tv_usec = 1;
+  ::setsockopt(Fd, SOL_SOCKET, Opt, &Tv, sizeof(Tv));
 }
 
 void st::closeFd(int Fd) {

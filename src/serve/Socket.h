@@ -87,6 +87,10 @@ uint16_t boundTcpPort(int Fd);
 /// Connects to \p Addr; returns the connected fd, or -1 with \p Err set.
 int connectServeAddress(const ServeAddress &Addr, std::string *Err);
 
+/// Bounds every blocking call of kind \p Opt (SO_RCVTIMEO or SO_SNDTIMEO)
+/// on \p Fd to \p Seconds; a no-op when \p Seconds is not positive.
+void setSocketTimeout(int Fd, int Opt, double Seconds);
+
 /// close() tolerant of EINTR and -1.
 void closeFd(int Fd);
 

@@ -5,9 +5,10 @@
 // distribution's analytic mean and coefficient of variation, histogram
 // percentiles against exact sorted-sample order statistics, merge
 // against associativity/commutativity (the property that makes
-// per-worker histograms aggregate without re-weighting), and the
+// per-worker histograms aggregate without re-weighting), the
 // request-payload builder against its determinism contract (same seed,
-// same bytes — the basis of "identical per-connection event streams").
+// same bytes — the basis of "identical per-connection event streams"),
+// and the per-request accounting when no server is there at all.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +20,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace st;
 
@@ -308,6 +314,33 @@ TEST(Loadgen, RejectsBrokenConfigurations) {
   Opts.Workload = "avrora";
   Opts.EventsPerSec = 0;
   EXPECT_FALSE(runLoadgen(Opts, Report, &Err));
+}
+
+TEST(Loadgen, FailedConnectsStillReachTheHook) {
+  // Nothing listens on the path, so every connect fails: each request
+  // is still one counted error and one hook call, which is what lets a
+  // caller's per-request records close against Requests.
+  char Path[96];
+  std::snprintf(Path, sizeof(Path), "/tmp/st_loadgen_dead_%d.sock",
+                static_cast<int>(::getpid()));
+  ::unlink(Path);
+  LoadgenOptions Opts;
+  Opts.Connect = std::string("unix:") + Path;
+  Opts.Connections = 2;
+  Opts.DurationSeconds = 0.2;
+  Opts.EventsPerSec = 200000;
+  std::atomic<uint64_t> Calls{0}, Failed{0};
+  Opts.OnRequest = [&](unsigned, uint64_t, const RequestOutcome &O) {
+    ++Calls;
+    Failed += !O.Ok;
+  };
+  LoadgenReport Report;
+  std::string Err;
+  ASSERT_TRUE(runLoadgen(Opts, Report, &Err)) << Err;
+  EXPECT_GT(Report.Requests, 0u);
+  EXPECT_EQ(Report.Errors, Report.Requests);
+  EXPECT_EQ(Calls.load(), Report.Requests);
+  EXPECT_EQ(Failed.load(), Report.Requests);
 }
 
 } // namespace

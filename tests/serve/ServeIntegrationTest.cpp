@@ -227,24 +227,8 @@ TEST(ServeIntegration, TcpTransportMatchesDirectRun) {
   ServeAddress Addr;
   Addr.Host = "127.0.0.1";
   Addr.Port = Srv.tcpPort();
-  int Fd = connectServeAddress(Addr, &Err);
-  ASSERT_GE(Fd, 0) << Err;
-  timeval Tv{120, 0};
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-  ClientResult R;
-  R.ConnectOk = true;
-  sendAll(Fd, Conv);
-  ::shutdown(Fd, SHUT_WR);
-  {
-    FdByteSource In(Fd);
-    FrameReader Frames(In);
-    Frame F;
-    int Rc;
-    while ((Rc = Frames.next(F)) > 0)
-      R.Frames.push_back(F);
-    R.ParseClean = Rc == 0 && !In.error(&R.Error);
-  }
-  closeFd(Fd);
+  ClientResult R = runClient(
+      Addr, [&](serve::Client &C) { C.sendRaw(Conv); }, /*TimeoutSec=*/120);
   expectMatchesDirect(R, E, "tcp client");
 
   Srv.stop();
@@ -364,29 +348,16 @@ TEST(ServeIntegration, TimeBudgetEvictsAStallingClient) {
   Hello.BatchSize = 16; // small batches: frequent budget checks
   std::string Stb = encodeStb(generateRandomTrace(goldenConfig(0)));
 
-  int Fd = connectWithTimeout(Path, 60, &Err);
-  ASSERT_GE(Fd, 0) << Err;
-  sendAll(Fd, frameBytes(FrameType::Hello, encodeHello(Hello)));
-  size_t Chunk = Stb.size() / 10 + 1;
-  for (size_t Off = 0; Off < Stb.size(); Off += Chunk) {
-    sendAll(Fd, frameBytes(FrameType::Events,
-                           std::string_view(Stb).substr(Off, Chunk)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  sendAll(Fd, frameBytes(FrameType::Eos, std::string_view()));
-  ::shutdown(Fd, SHUT_WR);
-
-  ClientResult R;
-  {
-    FdByteSource In(Fd);
-    FrameReader Frames(In);
-    Frame F;
-    int Rc;
-    while ((Rc = Frames.next(F)) > 0)
-      R.Frames.push_back(F);
-    R.ParseClean = Rc == 0 && !In.error(&R.Error);
-  }
-  closeFd(Fd);
+  ClientResult R = runClient(unixAddress(Path), [&](serve::Client &C) {
+    C.sendRaw(frameBytes(FrameType::Hello, encodeHello(Hello)));
+    size_t Chunk = Stb.size() / 10 + 1;
+    for (size_t Off = 0; Off < Stb.size(); Off += Chunk) {
+      C.sendRaw(frameBytes(FrameType::Events,
+                            std::string_view(Stb).substr(Off, Chunk)));
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    C.sendRaw(frameBytes(FrameType::Eos, std::string_view()));
+  });
 
   ASSERT_TRUE(R.ParseClean) << R.Error;
   ASSERT_FALSE(R.Frames.empty());

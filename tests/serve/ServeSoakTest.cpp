@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,17 +43,6 @@ long rssKb() {
       break;
   std::fclose(F);
   return Kb;
-}
-
-uint64_t scanUInt(const std::string &Line, const char *Key) {
-  size_t P = Line.find(Key);
-  if (P == std::string::npos)
-    return UINT64_MAX;
-  P += std::strlen(Key);
-  uint64_t V = 0;
-  while (P < Line.size() && Line[P] >= '0' && Line[P] <= '9')
-    V = V * 10 + (Line[P++] - '0');
-  return V;
 }
 
 TEST(ServeSoak, MillionEventStreamSurvivesDesertersWithFlatRss) {
@@ -86,11 +74,11 @@ TEST(ServeSoak, MillionEventStreamSurvivesDesertersWithFlatRss) {
   Hello.MaxRaceLines = 1000; // the stream is the soak, not the race dump
   std::string Conv = buildConversation(Hello, Stb, /*Chunk=*/256 << 10);
 
-  // The upload is several MB while the server streams races back live,
-  // so the client must read concurrently with the upload (see
-  // runStreamingClient) — write-then-read deadlocks at this scale.
+  // The upload is several MB while the server streams races back live:
+  // the client's reader drains concurrently with the upload, which is
+  // what keeps this scale from deadlocking on full socket buffers.
   auto RunMainClient = [&](ClientResult &Out) {
-    Out = runStreamingClient(Path, Conv, /*TimeoutSec=*/540);
+    Out = runRawClient(Path, Conv, /*TimeoutSec=*/540);
   };
 
   // Warm-up pass: first-run allocations (arenas, session state, decode
@@ -102,7 +90,7 @@ TEST(ServeSoak, MillionEventStreamSurvivesDesertersWithFlatRss) {
   long BaselineKb = rssKb();
 
   // Second full stream, with four deserters dropping mid-upload: HELLO
-  // plus a 64KiB STB prefix, then a hard close — no EOS, no shutdown.
+  // plus a 64KiB STB prefix, then a hard hang-up — no EOS, no drain.
   ClientResult Main;
   std::thread MainClient([&] { RunMainClient(Main); });
   std::vector<std::thread> Deserters;
@@ -112,14 +100,12 @@ TEST(ServeSoak, MillionEventStreamSurvivesDesertersWithFlatRss) {
   std::atomic<int> DeserterFailures{0};
   for (int I = 0; I != 4; ++I)
     Deserters.emplace_back([&, I] {
-      std::string ConnErr;
-      int Fd = connectWithTimeout(Path, 60, &ConnErr);
-      if (Fd < 0) {
+      // Dropping the client before finish() is the hang-up.
+      serve::Client Deserter;
+      if (Deserter.connect(unixAddress(Path), /*TimeoutSeconds=*/60))
+        Deserter.sendRaw(Partial);
+      else
         ++DeserterFailures;
-        return;
-      }
-      sendAll(Fd, Partial);
-      closeFd(Fd);
     });
   for (std::thread &T : Deserters)
     T.join();
@@ -133,7 +119,8 @@ TEST(ServeSoak, MillionEventStreamSurvivesDesertersWithFlatRss) {
   EXPECT_EQ(Main.count(FrameType::Error), 0u);
   EXPECT_LE(Main.count(FrameType::Race), 1000u);
   ASSERT_EQ(Main.Frames.back().Type, FrameType::Summary);
-  uint64_t Events = scanUInt(Main.Frames.back().Payload, "\"events\":");
+  uint64_t Events = UINT64_MAX;
+  serve::scanNdjsonUInt(Main.Frames.back().Payload, "\"events\":", Events);
   EXPECT_GE(Events, 900000u) << Main.Frames.back().Payload;
   EXPECT_NE(Main.payloads(FrameType::Summary).find("\"analysis\":\"ST-WDC\""),
             std::string::npos);

@@ -1,28 +1,23 @@
 //===- tests/serve/ServeTestUtil.h - In-process serve test harness --------===//
 //
-// Shared plumbing for the st-serve test suite: unique socket paths, a raw
-// byte-level client (send arbitrary bytes, half-close, drain every frame
-// the server answers with), and conversation builders that frame a trace
-// upload the way st-analyze --connect does. Everything is deliberately
-// low-level — the tests speak the wire protocol directly so they can also
-// speak it wrongly.
+// Shared plumbing for the st-serve test suite: unique socket paths, a
+// recording client (serve::Client with every server frame kept), and
+// conversation builders that frame a trace upload the way st-analyze
+// --connect does. Uploads are raw bytes — the tests speak the wire
+// protocol directly so they can also speak it wrongly.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef SMARTTRACK_TESTS_SERVE_SERVETESTUTIL_H
 #define SMARTTRACK_TESTS_SERVE_SERVETESTUTIL_H
 
-#include "serve/Frame.h"
-#include "serve/Socket.h"
+#include "serve/Client.h"
 
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 namespace st {
@@ -37,37 +32,11 @@ inline std::string uniqueSocketPath(const char *Tag) {
   return Buf;
 }
 
-/// Connects to a unix socket with send/recv timeouts, so a wedged server
-/// surfaces as a failed assertion instead of a hung test binary.
-inline int connectWithTimeout(const std::string &Path, int TimeoutSec,
-                              std::string *Err) {
+inline ServeAddress unixAddress(const std::string &Path) {
   ServeAddress Addr;
   Addr.IsUnix = true;
   Addr.Path = Path;
-  int Fd = connectServeAddress(Addr, Err);
-  if (Fd < 0)
-    return -1;
-  timeval Tv;
-  Tv.tv_sec = TimeoutSec;
-  Tv.tv_usec = 0;
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-  ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Tv, sizeof(Tv));
-  return Fd;
-}
-
-/// Sends every byte (completing short writes); returns false once the
-/// peer has hung up — which is fine for hostile-input tests, where the
-/// server may well answer and close before the client finishes talking.
-inline bool sendAll(int Fd, std::string_view Bytes) {
-  size_t Off = 0;
-  while (Off < Bytes.size()) {
-    ssize_t N = ::send(Fd, Bytes.data() + Off, Bytes.size() - Off,
-                       MSG_NOSIGNAL);
-    if (N <= 0)
-      return false;
-    Off += static_cast<size_t>(N);
-  }
-  return true;
+  return Addr;
 }
 
 /// One frame, serialized.
@@ -93,7 +62,7 @@ inline std::string buildConversation(const HelloOptions &Hello,
   return Out;
 }
 
-/// Everything one raw-byte client saw.
+/// Everything one recording client saw.
 struct ClientResult {
   bool ConnectOk = false;
   /// The server's frame stream decoded to a clean end-of-stream (it is
@@ -119,64 +88,35 @@ struct ClientResult {
   }
 };
 
-/// Sends \p Bytes verbatim, half-closes the write side, then drains the
-/// server's answer to end of stream. Send failures are tolerated (the
+/// One conversation through a serve::Client that records every server
+/// frame: connects with send/receive timeouts (a wedged server surfaces
+/// as a failed assertion, not a hung test binary), lets \p Upload write
+/// raw bytes while the client's reader drains concurrently (so multi-
+/// megabyte uploads cannot deadlock on full socket buffers), then half-
+/// closes and drains to end of stream. Send failures are tolerated: the
 /// server may close on a protocol error while the client is still
-/// talking; on unix sockets the frames it already sent stay readable).
-inline ClientResult runRawClient(const std::string &Path,
-                                 std::string_view Bytes,
-                                 int TimeoutSec = 60) {
+/// talking, and the frames it already sent stay readable.
+template <typename UploadFn>
+ClientResult runClient(const ServeAddress &Addr, UploadFn Upload,
+                       int TimeoutSec = 60) {
   ClientResult R;
-  int Fd = connectWithTimeout(Path, TimeoutSec, &R.Error);
-  if (Fd < 0)
-    return R;
-  R.ConnectOk = true;
-  sendAll(Fd, Bytes);
-  ::shutdown(Fd, SHUT_WR);
-  FdByteSource In(Fd);
-  FrameReader Frames(In);
-  Frame F;
-  int Rc;
-  while ((Rc = Frames.next(F)) > 0)
-    R.Frames.push_back(F);
-  if (Rc < 0)
-    R.Error = Frames.error();
-  R.ParseClean = Rc == 0 && !In.error(&R.Error);
-  closeFd(Fd);
+  serve::Client C([&R](const Frame &F) { R.Frames.push_back(F); });
+  R.ConnectOk = C.connect(Addr, TimeoutSec);
+  if (R.ConnectOk)
+    Upload(C);
+  serve::ClientOutcome O = C.finish(/*SendEos=*/false);
+  R.ParseClean = R.ConnectOk && O.Error.empty();
+  R.Error = O.Error;
   return R;
 }
 
-/// Like runRawClient, but uploads from a dedicated writer thread while
-/// the caller's side drains frames concurrently. Write-then-read only
-/// works while the upload fits in the kernel socket buffers; beyond
-/// that the server's live RACE frames fill its send buffer, it stops
-/// reading, and both sides deadlock — st-analyze --connect runs a
-/// reader thread for the same reason. Use this for multi-megabyte
-/// conversations.
-inline ClientResult runStreamingClient(const std::string &Path,
-                                       std::string_view Bytes,
-                                       int TimeoutSec = 60) {
-  ClientResult R;
-  int Fd = connectWithTimeout(Path, TimeoutSec, &R.Error);
-  if (Fd < 0)
-    return R;
-  R.ConnectOk = true;
-  std::thread Writer([Fd, Bytes] {
-    sendAll(Fd, Bytes);
-    ::shutdown(Fd, SHUT_WR);
-  });
-  FdByteSource In(Fd);
-  FrameReader Frames(In);
-  Frame F;
-  int Rc;
-  while ((Rc = Frames.next(F)) > 0)
-    R.Frames.push_back(F);
-  if (Rc < 0)
-    R.Error = Frames.error();
-  R.ParseClean = Rc == 0 && !In.error(&R.Error);
-  Writer.join();
-  closeFd(Fd);
-  return R;
+/// runClient uploading \p Bytes verbatim to the unix socket \p Path.
+inline ClientResult runRawClient(const std::string &Path,
+                                 std::string_view Bytes,
+                                 int TimeoutSec = 60) {
+  return runClient(
+      unixAddress(Path), [Bytes](serve::Client &C) { C.sendRaw(Bytes); },
+      TimeoutSec);
 }
 
 } // namespace serve_test

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <sys/wait.h>
@@ -71,6 +72,45 @@ TEST(ServeCli, RacyTraceStreamsRacesAndExitsTwo) {
       << R.Output;
   EXPECT_NE(R.Output.find("\"total_dynamic_races\":"), std::string::npos)
       << R.Output;
+}
+
+/// The "type":"race" lines of \p Output, in order. The summary and
+/// stream lines are left out: they differ between a served and a local
+/// run in their timing fields and the served case_stats block.
+std::string raceLines(const std::string &Output) {
+  static const std::string Prefix = "{\"type\":\"race\"";
+  std::string Lines;
+  for (size_t P = 0; P < Output.size();) {
+    size_t End = Output.find('\n', P);
+    End = End == std::string::npos ? Output.size() : End + 1;
+    if (Output.compare(P, Prefix.size(), Prefix) == 0)
+      Lines.append(Output, P, End - P);
+    P = End;
+  }
+  return Lines;
+}
+
+TEST(ServeCli, ConnectRaceLinesMatchLocalNdjson) {
+  struct {
+    const char *Trace;
+    int ExitCode;
+    size_t RaceLines;
+  } Cases[] = {{"racy.trace", 2, 14},
+               {"predictable.trace", 2, 11},
+               {"race_free.trace", 0, 0}};
+  for (const auto &C : Cases) {
+    RunResult Local =
+        runCommand(analyze() + " --all --format=ndjson " + trace(C.Trace));
+    RunResult Served = runCommand(servedRun("--all " + trace(C.Trace)));
+    std::string Races = raceLines(Local.Output);
+    EXPECT_EQ(Local.ExitCode, C.ExitCode) << C.Trace << Local.Output;
+    EXPECT_EQ(Served.ExitCode, Local.ExitCode) << C.Trace << Served.Output;
+    EXPECT_EQ(static_cast<size_t>(
+                  std::count(Races.begin(), Races.end(), '\n')),
+              C.RaceLines)
+        << C.Trace << Local.Output;
+    EXPECT_EQ(raceLines(Served.Output), Races) << C.Trace;
+  }
 }
 
 TEST(ServeCli, RaceFreeTraceExitsZero) {

@@ -17,8 +17,10 @@
 # When a third argument (path to st-serve) is given, the same 1M-event
 # trace is also served over a unix socket: st-serve under its own 256MB
 # cap, st-analyze --connect uploading from stdin under the same cap, and
-# the client must exit 2 with the streamed summary — the serving pipeline
-# inherits the O(1)-memory guarantee end to end.
+# the client must exit 2 with a streamed total_dynamic_races equal to the
+# local ST-WDC NDJSON run's — the serving pipeline inherits the
+# O(1)-memory guarantee end to end, and an upload far bigger than a
+# socket buffer drains concurrently without losing a race.
 #
 # Usage: large_trace_smoke.sh path/to/st-analyze [st-lint] [st-serve]
 set -eu
@@ -107,7 +109,15 @@ if ! grep -q '"type":"summary"' "$DIR/races.ndjson"; then
     echo "FAIL: ndjson output is missing the summary line"
     exit 1
 fi
-echo "   $race_lines race lines + summaries, all valid JSON"
+# The stream line's race total, the reference for the served run below.
+local_total=$(sed -n 's/^{"type":"stream".*"total_dynamic_races":\([0-9]*\).*/\1/p' \
+    "$DIR/races.ndjson")
+if [ -z "$local_total" ]; then
+    echo "FAIL: ndjson output is missing the stream line's race total"
+    exit 1
+fi
+echo "   $race_lines race lines + summaries, all valid JSON;" \
+     "$local_total dynamic races"
 
 echo "== text and STB encodings agree on every analysis"
 for f in big.trace big.stb; do
@@ -149,8 +159,15 @@ if [ -n "$SERVE" ]; then
              "under the 256MB caps)"
         exit 1
     fi
-    if ! grep -q '"total_dynamic_races"' "$DIR/served.out"; then
+    served_total=$(sed -n 's/.*"total_dynamic_races":\([0-9]*\).*/\1/p' \
+        "$DIR/served.out")
+    if [ -z "$served_total" ]; then
         echo "FAIL: served run did not relay the stream summary"
+        exit 1
+    fi
+    if [ "$served_total" != "$local_total" ]; then
+        echo "FAIL: served run reported $served_total dynamic races," \
+             "the local ST-WDC run $local_total"
         exit 1
     fi
     if ! grep -q '1 accepted, 1 completed, 0 evicted, 0 rejected' \

@@ -28,22 +28,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "report/Session.h"
-#include "serve/Frame.h"
-#include "serve/Socket.h"
+#include "serve/Client.h"
 #include "trace/Stb.h"
 #include "trace/TraceText.h"
 #include "workload/RandomTrace.h"
 
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <sys/socket.h>
 
 using namespace st;
 
@@ -876,30 +871,9 @@ void printNdjsonSummaries(const RunReport &Rep, const Options &Opts) {
 // --connect: client mode against an st-serve server
 //===----------------------------------------------------------------------===//
 
-/// Extracts "total_dynamic_races":N from the server's final stream
-/// summary line; returns false when the line carries no such field.
-bool scanTotalRaces(std::string_view Line, uint64_t &Out) {
-  static constexpr std::string_view Key = "\"total_dynamic_races\":";
-  size_t P = Line.find(Key);
-  if (P == std::string_view::npos)
-    return false;
-  P += Key.size();
-  uint64_t V = 0;
-  bool Any = false;
-  while (P < Line.size() && Line[P] >= '0' && Line[P] <= '9') {
-    V = V * 10 + static_cast<uint64_t>(Line[P] - '0');
-    ++P;
-    Any = true;
-  }
-  if (Any)
-    Out = V;
-  return Any;
-}
-
-/// Uploads the input to an st-serve server and relays its report frames.
-/// A dedicated reader thread drains server frames for the whole upload —
-/// with both sides writing, neither may block on a full send buffer
-/// waiting for the other to read, and races stream back live mid-upload.
+/// Uploads the input to an st-serve server through serve::Client and
+/// relays its report frames as they arrive (the client's reader thread
+/// drains them for the whole upload, so races stream back live).
 /// Exit status matches in-process runs: 0 no races, 2 races, 1 error.
 int runConnect(const Options &Opts) {
   ServeAddress Addr;
@@ -914,100 +888,59 @@ int runConnect(const Options &Opts) {
     std::fprintf(stderr, "error: cannot open %s\n", Opts.Path);
     return 1;
   }
-  int Fd = connectServeAddress(Addr, &Err);
-  if (Fd < 0) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    if (!UseStdin)
-      std::fclose(In);
-    return 1;
-  }
 
-  HelloOptions Hello;
-  for (AnalysisKind K : Opts.Kinds)
-    Hello.Analyses.push_back(analysisKindName(K));
-  Hello.Shards = Opts.Shards;
-  Hello.PinShards = Opts.PinShards ? 1 : 0;
-  Hello.Validation = static_cast<uint64_t>(Opts.Validation);
-  if (Opts.MaxStoredRaces != SIZE_MAX)
-    Hello.MaxRaceLines = Opts.MaxStoredRaces;
-  Hello.BatchSize = Opts.BatchSize;
-  Hello.MaxDiags = Opts.MaxDiags;
-
-  FdByteSink SockOut(Fd);
-  FrameWriter Writer(SockOut);
-  bool UploadOk = Writer.write(FrameType::Hello, encodeHello(Hello));
-
-  std::atomic<bool> SawError{false};
-  std::atomic<uint64_t> TotalRaces{0};
-  std::thread Reader([&] {
-    FdByteSource SockIn(Fd);
-    FrameReader Frames(SockIn);
-    Frame F;
-    int R;
-    while ((R = Frames.next(F)) > 0) {
-      switch (F.Type) {
-      case FrameType::Hello:
-        break; // the accepted configuration; nothing to print
-      case FrameType::Race:
-      case FrameType::Diag:
-        if (!Opts.Quiet)
-          std::fwrite(F.Payload.data(), 1, F.Payload.size(), stdout);
+  serve::Client Conn([Quiet = Opts.Quiet](const Frame &F) {
+    switch (F.Type) {
+    case FrameType::Race:
+    case FrameType::Diag:
+      if (Quiet)
         break;
-      case FrameType::Summary: {
-        std::fwrite(F.Payload.data(), 1, F.Payload.size(), stdout);
-        uint64_t Total = 0;
-        if (scanTotalRaces(F.Payload, Total))
-          TotalRaces = Total;
-        break;
-      }
-      case FrameType::Error:
-        std::fwrite(F.Payload.data(), 1, F.Payload.size(), stdout);
-        SawError = true;
-        break;
-      default:
-        break; // EVENTS/EOS never flow server -> client; ignore
-      }
-    }
-    if (R < 0) {
-      std::fprintf(stderr, "error: %s\n", Frames.error().c_str());
-      SawError = true;
-    }
-    std::string Msg;
-    if (SockIn.error(&Msg)) {
-      std::fprintf(stderr, "error: %s\n", Msg.c_str());
-      SawError = true;
-    }
-    std::fflush(stdout);
-  });
-
-  // Chunk size stays well under the protocol's frame payload cap.
-  std::vector<char> Chunk(64 * 1024);
-  while (UploadOk) {
-    size_t N = std::fread(Chunk.data(), 1, Chunk.size(), In);
-    if (N == 0)
+      [[fallthrough]];
+    case FrameType::Summary:
+    case FrameType::Error:
+      std::fwrite(F.Payload.data(), 1, F.Payload.size(), stdout);
       break;
-    UploadOk = Writer.write(FrameType::Events,
-                            std::string_view(Chunk.data(), N));
-  }
-  if (std::ferror(In)) {
-    std::fprintf(stderr, "error: read failed: %s\n", Opts.Path);
-    UploadOk = false;
-  }
-  if (UploadOk)
-    UploadOk = Writer.write(FrameType::Eos, std::string_view());
-  // Half-close so the server sees a definite end of the upload even if
-  // the EOS frame was lost to an earlier send failure.
-  ::shutdown(Fd, SHUT_WR);
+    default:
+      break; // the accepted-configuration HELLO; nothing to print
+    }
+  });
+  bool ReadFailed = false;
+  if (Conn.connect(Addr)) {
+    HelloOptions Hello;
+    for (AnalysisKind K : Opts.Kinds)
+      Hello.Analyses.push_back(analysisKindName(K));
+    Hello.Shards = Opts.Shards;
+    Hello.PinShards = Opts.PinShards ? 1 : 0;
+    Hello.Validation = static_cast<uint64_t>(Opts.Validation);
+    if (Opts.MaxStoredRaces != SIZE_MAX)
+      Hello.MaxRaceLines = Opts.MaxStoredRaces;
+    Hello.BatchSize = Opts.BatchSize;
+    Hello.MaxDiags = Opts.MaxDiags;
 
-  Reader.join();
-  closeFd(Fd);
+    std::vector<char> Chunk(serve::ClientChunkBytes);
+    bool UploadOk = Conn.sendHello(Hello);
+    while (UploadOk) {
+      size_t N = std::fread(Chunk.data(), 1, Chunk.size(), In);
+      if (N == 0)
+        break;
+      UploadOk = Conn.sendEvents(std::string_view(Chunk.data(), N));
+    }
+    ReadFailed = std::ferror(In);
+    if (ReadFailed)
+      std::fprintf(stderr, "error: read failed: %s\n", Opts.Path);
+  }
+  serve::ClientOutcome Out = Conn.finish(/*SendEos=*/!ReadFailed);
+  if (!Out.Error.empty())
+    std::fprintf(stderr, "error: %s\n", Out.Error.c_str());
+  std::fflush(stdout);
   if (!UseStdin)
     std::fclose(In);
   // A send failure after the server already reported (eviction,
   // rejection) is that report's outcome, not a second error.
-  if (SawError || (!UploadOk && !TotalRaces))
+  if (Out.SawError || !Out.Error.empty() ||
+      ((!Out.UploadOk || ReadFailed) && !Out.TotalRaces))
     return 1;
-  return TotalRaces ? 2 : 0;
+  return Out.TotalRaces ? 2 : 0;
 }
 
 } // namespace
