@@ -88,6 +88,22 @@ static void BM_StbDecodePlain(benchmark::State &State) {
 }
 BENCHMARK(BM_StbDecodePlain)->Arg(1 << 14)->Arg(1 << 17);
 
+// Decode plus the hard well-formedness check, as the validating sources
+// (and a served connection in ValidationMode::Off) run them. The delta
+// against BM_StbDecodePlain is the check's per-event cost.
+static void BM_StbDecodeValidated(benchmark::State &State) {
+  Trace Tr = benchTrace(static_cast<uint64_t>(State.range(0)));
+  std::string Stb = encodeStb(Tr);
+  for (auto _ : State) {
+    MemoryByteSource Mem(Stb);
+    OpenedEventSource In = openEventSource(Mem, /*Validate=*/true);
+    benchmark::DoNotOptimize(drain(*In.Events));
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          State.range(0));
+}
+BENCHMARK(BM_StbDecodeValidated)->Arg(1 << 14)->Arg(1 << 17);
+
 namespace {
 
 // The served path: FrameReader peels EVENTS frames, the payload source

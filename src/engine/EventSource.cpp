@@ -38,17 +38,14 @@ size_t TextEventSource::read(Event *Buf, size_t Max) {
       break;
     }
     if (Validate) {
-      Checker.engine().setProvenance(Parser.line(), 0);
-      if (!Checker.check(Buf[N])) {
+      if (!Checker.check(Buf[N], Parser.line(), 0)) {
         // Stop delivering, but keep decoding through the checker so the
         // diagnostic covers every violation in the input, not just the
         // first (the engine's store cap bounds memory).
         Bad = true;
         Event E;
-        while (Parser.next(E) > 0) {
-          Checker.engine().setProvenance(Parser.line(), 0);
-          Checker.check(E);
-        }
+        while (Parser.next(E) > 0)
+          Checker.check(E, Parser.line(), 0);
         ErrorMsg = "ill-formed trace: " + Checker.error();
         break;
       }
@@ -78,16 +75,13 @@ size_t StbEventSource::read(Event *Buf, size_t Max) {
       break;
     }
     if (Validate) {
-      Checker.engine().setProvenance(0, Reader.bytesConsumed());
-      if (!Checker.check(Buf[N])) {
+      if (!Checker.check(Buf[N], 0, Reader.bytesConsumed())) {
         // As in TextEventSource: withhold from here on, drain the rest
         // through the checker for a complete diagnostic.
         Bad = true;
         Event E;
-        while (Reader.next(E) > 0) {
-          Checker.engine().setProvenance(0, Reader.bytesConsumed());
-          Checker.check(E);
-        }
+        while (Reader.next(E) > 0)
+          Checker.check(E, 0, Reader.bytesConsumed());
         ErrorMsg = "ill-formed trace: " + Checker.error();
         break;
       }

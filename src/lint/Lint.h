@@ -50,12 +50,12 @@ struct LintDeclared {
 /// finishes cleanly (end-of-trace lints). When a rule reports an
 /// error-severity diagnostic the engine skips the remaining rules for
 /// that event (the event is poisoned; later rules may rely on earlier
-/// ones, e.g. id-range checking guards dense indexing).
+/// ones, e.g. the hard rule's id-range check guards dense indexing).
 class StreamRule {
 public:
   virtual ~StreamRule() = default;
 
-  /// Stable rule name ("lock-discipline", ...), for listings and docs.
+  /// Stable rule name ("well-formedness", ...), for listings and docs.
   virtual const char *name() const = 0;
 
   virtual void onEvent(const Event &E, LintEngine &Eng) = 0;
@@ -116,6 +116,12 @@ public:
   /// the engine layer's EventSource chunks.
   void processBatch(const Event *Events, size_t N);
 
+  /// Counts one event that the caller has already found clean through
+  /// HardRules::step, without running the rules, so the event indexes of
+  /// later diagnostics stay exact. Valid only when the engine's rules are
+  /// the hard set alone (WellFormedChecker).
+  void countCleanEvent() { ++Events; }
+
   /// Runs every rule's end-of-stream hook. Idempotent.
   void finish();
   bool finished() const { return Finished; }
@@ -162,10 +168,84 @@ private:
   bool Finished = false;
 };
 
-/// Registers the hard well-formedness rules (errors only): id-range,
-/// lock-discipline, thread-lifecycle. This is the set the streaming
-/// sources and WellFormedChecker run on every event.
-void addHardRules(LintEngine &Eng);
+/// The hard well-formedness contract (STL001-STL007) as one rule: ids
+/// stay under the dense cap, a thread only acquires a free lock and only
+/// releases a lock it holds, forked threads are fresh, joined threads run
+/// no further events, and no thread forks or joins itself. State is a
+/// dense lock-holder table and one flag byte per thread.
+///
+/// Two entry points share that state. step() is the inline fast path for
+/// clean events; onEvent() is the diagnostic path, reporting in a fixed
+/// order (id range, lock discipline, thread lifecycle) and ending the
+/// event at its first error, with the same recovery as a clean event
+/// where one exists (a double acquire hands the lock to the acquirer).
+class HardRules final : public StreamRule {
+public:
+  const char *name() const override { return "well-formedness"; }
+
+  void onEvent(const Event &E, LintEngine &Eng) override;
+
+  /// Applies \p E and returns true when no hard rule fires on it.
+  /// Otherwise — and for ids the tables are not sized for yet — returns
+  /// false with no state changed; onEvent() then handles the event.
+  bool step(const Event &E) {
+    const ThreadId T = E.Tid;
+    if (T >= Flags.size()) // Flags never grows past the id cap
+      return false;
+    const uint8_t Self = Flags[T];
+    if (Self & Joined)
+      return false;
+    const uint32_t Target = E.Target;
+    switch (E.Kind) {
+    case EventKind::Read:
+    case EventKind::Write:
+      if (Target >= LintEngine::MaxCheckableIds ||
+          (E.Site >= LintEngine::MaxCheckableIds && E.Site != InvalidId))
+        return false;
+      break;
+    case EventKind::VolRead:
+    case EventKind::VolWrite:
+      if (Target >= LintEngine::MaxCheckableIds)
+        return false;
+      break;
+    case EventKind::Acquire:
+      if (Target >= Holder.size() || Holder[Target] != InvalidId)
+        return false;
+      Holder[Target] = T;
+      break;
+    case EventKind::Release:
+      if (Target >= Holder.size() || Holder[Target] != T)
+        return false;
+      Holder[Target] = InvalidId;
+      break;
+    case EventKind::Fork:
+      if (Target >= Flags.size() || Target == T ||
+          (Flags[Target] & (Started | Forked)))
+        return false;
+      Flags[Target] |= Forked;
+      break;
+    case EventKind::Join:
+      if (Target >= Flags.size() || Target == T || (Flags[Target] & Joined))
+        return false;
+      Flags[Target] |= Joined;
+      break;
+    }
+    Flags[T] = Self | Started;
+    return true;
+  }
+
+private:
+  enum : uint8_t { Started = 1, Joined = 2, Forked = 4 };
+
+  std::vector<ThreadId> Holder; // lock -> holder (InvalidId = free)
+  std::vector<uint8_t> Flags;   // thread -> Started | Joined | Forked
+};
+
+/// Registers the hard well-formedness rule (errors only) and returns it,
+/// so a caller that runs nothing else (WellFormedChecker) can take its
+/// step() fast path. This is the set the validating sources run on every
+/// event.
+HardRules &addHardRules(LintEngine &Eng);
 
 /// Registers the soft lint rules (warnings/notes): held-at-end, unjoined
 /// threads, empty critical sections, volatile/data aliasing, declared

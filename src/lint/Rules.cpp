@@ -4,10 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The built-in StreamRule set. Hard rules enforce the well-formedness
-// contract the analyses are sound under (paper §2.1) and run on every
-// validated stream, so their per-event state is dense vectors indexed by
-// the (range-checked) ids — no hashing on the hot path. Soft rules flag
+// The built-in StreamRule set. The hard rule (HardRules, declared in
+// Lint.h so its step() fast path inlines into the validating sources)
+// enforces the well-formedness contract the analyses are sound under
+// (paper §2.1); this file holds its diagnostic path. Soft rules flag
 // trace pathologies that degrade prediction quality; they only run in
 // full-lint mode (st-lint, Session Warn/Strict).
 //
@@ -57,146 +57,127 @@ std::string describeThread(ThreadId T) {
   return Buf;
 }
 
+const char *idSpaceName(EventKind K) {
+  switch (K) {
+  case EventKind::Read:
+  case EventKind::Write:
+    return "variable";
+  case EventKind::Acquire:
+  case EventKind::Release:
+    return "lock";
+  case EventKind::VolRead:
+  case EventKind::VolWrite:
+    return "volatile";
+  case EventKind::Fork:
+  case EventKind::Join:
+    return "thread";
+  }
+  return "?";
+}
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // Hard rules
 //===----------------------------------------------------------------------===//
 
-/// STL007: every id must stay under the dense id-space cap. Registered
-/// first so later rules can size dense per-id state off checked ids.
-class IdRangeRule : public StreamRule {
-public:
-  const char *name() const override { return "id-range"; }
-
-  void onEvent(const Event &E, LintEngine &Eng) override {
-    if (E.Tid >= LintEngine::MaxCheckableIds) {
-      Eng.report(LintCode::IdOutOfRange,
-                 describeEvent(E) +
-                     ": thread id out of range (ids must be dense)");
-      return;
-    }
-    const char *Space = nullptr;
-    switch (E.Kind) {
-    case EventKind::Read:
-    case EventKind::Write:
-      Space = "variable";
-      break;
-    case EventKind::Acquire:
-    case EventKind::Release:
-      Space = "lock";
-      break;
-    case EventKind::VolRead:
-    case EventKind::VolWrite:
-      Space = "volatile";
-      break;
-    case EventKind::Fork:
-    case EventKind::Join:
-      Space = "thread";
-      break;
-    }
-    if (E.Target >= LintEngine::MaxCheckableIds) {
-      Eng.report(LintCode::IdOutOfRange,
-                 describeEvent(E) + ": " + Space +
-                     " id out of range (ids must be dense)");
-      return;
-    }
-    if (isAccess(E.Kind) && E.Site != InvalidId &&
-        E.Site >= LintEngine::MaxCheckableIds)
-      Eng.report(LintCode::IdOutOfRange,
-                 describeEvent(E) +
-                     ": site id out of range (ids must be dense)");
+void HardRules::onEvent(const Event &E, LintEngine &Eng) {
+  // STL007 first: every later check indexes dense tables by these ids.
+  if (E.Tid >= LintEngine::MaxCheckableIds) {
+    Eng.report(LintCode::IdOutOfRange,
+               describeEvent(E) +
+                   ": thread id out of range (ids must be dense)");
+    return;
   }
-};
+  if (E.Target >= LintEngine::MaxCheckableIds) {
+    Eng.report(LintCode::IdOutOfRange,
+               describeEvent(E) + ": " + idSpaceName(E.Kind) +
+                   " id out of range (ids must be dense)");
+    return;
+  }
+  if (isAccess(E.Kind) && E.Site != InvalidId &&
+      E.Site >= LintEngine::MaxCheckableIds) {
+    Eng.report(LintCode::IdOutOfRange,
+               describeEvent(E) +
+                   ": site id out of range (ids must be dense)");
+    return;
+  }
 
-/// STL001/STL002: a thread only acquires a free lock and only releases a
-/// lock it holds. The holder table is a dense vector indexed by LockId
-/// (ids are dense by construction) — one load per lock event, replacing
-/// the per-event unordered_map probe the old WellFormedChecker paid.
-class LockDisciplineRule : public StreamRule {
-public:
-  const char *name() const override { return "lock-discipline"; }
-
-  void onEvent(const Event &E, LintEngine &Eng) override {
-    if (!isLockOp(E.Kind))
-      return;
+  // STL001/STL002: a thread only acquires a free lock and only releases a
+  // lock it holds.
+  if (isLockOp(E.Kind)) {
     LockId M = E.lock();
     if (M >= Holder.size())
       Holder.resize(M + 1, InvalidId);
     if (E.Kind == EventKind::Acquire) {
-      if (Holder[M] != InvalidId)
-        Eng.report(LintCode::AcquireHeld,
-                   describeEvent(E) +
-                       ": acquire of a held lock (no reentrancy; held by " +
-                       describeThread(Holder[M]) + ")");
+      ThreadId Prev = Holder[M];
       // Recover by handing the lock to the acquirer, so a later release
       // by it is not a spurious second violation.
       Holder[M] = E.Tid;
+      if (Prev != InvalidId) {
+        Eng.report(LintCode::AcquireHeld,
+                   describeEvent(E) +
+                       ": acquire of a held lock (no reentrancy; held by " +
+                       describeThread(Prev) + ")");
+        return;
+      }
     } else {
-      if (Holder[M] != E.Tid)
+      bool Held = Holder[M] == E.Tid;
+      Holder[M] = InvalidId;
+      if (!Held) {
         Eng.report(LintCode::ReleaseUnheld,
                    describeEvent(E) +
                        ": release of a lock the thread does not hold");
-      Holder[M] = InvalidId;
+        return;
+      }
     }
   }
 
-private:
-  std::vector<ThreadId> Holder; // lock -> holder (InvalidId = free)
-};
-
-/// STL003-006: forked threads are fresh, joined threads run no further
-/// events, and no thread forks or joins itself.
-class ThreadLifecycleRule : public StreamRule {
-public:
-  const char *name() const override { return "thread-lifecycle"; }
-
-  void onEvent(const Event &E, LintEngine &Eng) override {
-    ThreadId MaxTid = E.Tid;
-    if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
-      MaxTid = std::max(MaxTid, E.Target);
-    if (MaxTid >= Started.size()) {
-      Started.resize(MaxTid + 1, 0);
-      Joined.resize(MaxTid + 1, 0);
-      Forked.resize(MaxTid + 1, 0);
-    }
-    if (Joined[E.Tid]) {
-      Eng.report(LintCode::RunAfterJoin,
-                 describeEvent(E) + ": thread runs after being joined");
+  // STL003-006: forked threads are fresh, joined threads run no further
+  // events, and no thread forks or joins itself.
+  ThreadId MaxTid = E.Tid;
+  if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
+    MaxTid = std::max(MaxTid, E.Target);
+  if (MaxTid >= Flags.size())
+    Flags.resize(MaxTid + 1, 0);
+  if (Flags[E.Tid] & Joined) {
+    Eng.report(LintCode::RunAfterJoin,
+               describeEvent(E) + ": thread runs after being joined");
+    return;
+  }
+  Flags[E.Tid] |= Started; // unforked root threads are permitted
+  if (E.Kind == EventKind::Fork) {
+    ThreadId C = E.childTid();
+    if (C == E.Tid) {
+      Eng.report(LintCode::SelfForkJoin,
+                 describeEvent(E) + ": thread forks itself");
       return;
     }
-    Started[E.Tid] = 1; // unforked root threads are permitted
-    if (E.Kind == EventKind::Fork) {
-      ThreadId C = E.childTid();
-      if (C == E.Tid) {
-        Eng.report(LintCode::SelfForkJoin,
-                   describeEvent(E) + ": thread forks itself");
-        return;
-      }
-      if (Started[C] || Forked[C]) {
-        Eng.report(LintCode::ForkOfStarted,
-                   describeEvent(E) +
-                       ": fork of a thread that already ran or was forked");
-        return;
-      }
-      Forked[C] = 1;
-    } else if (E.Kind == EventKind::Join) {
-      ThreadId C = E.childTid();
-      if (C == E.Tid) {
-        Eng.report(LintCode::SelfForkJoin,
-                   describeEvent(E) + ": thread joins itself");
-        return;
-      }
-      if (Joined[C]) {
-        Eng.report(LintCode::DoubleJoin,
-                   describeEvent(E) + ": thread joined twice");
-        return;
-      }
-      Joined[C] = 1;
+    if (Flags[C] & (Started | Forked)) {
+      Eng.report(LintCode::ForkOfStarted,
+                 describeEvent(E) +
+                     ": fork of a thread that already ran or was forked");
+      return;
     }
+    Flags[C] |= Forked;
+  } else if (E.Kind == EventKind::Join) {
+    ThreadId C = E.childTid();
+    if (C == E.Tid) {
+      Eng.report(LintCode::SelfForkJoin,
+                 describeEvent(E) + ": thread joins itself");
+      return;
+    }
+    if (Flags[C] & Joined) {
+      Eng.report(LintCode::DoubleJoin,
+                 describeEvent(E) + ": thread joined twice");
+      return;
+    }
+    Flags[C] |= Joined;
   }
+}
 
-private:
-  std::vector<uint8_t> Started, Joined, Forked; // indexed by ThreadId
-};
+namespace {
+
 
 //===----------------------------------------------------------------------===//
 // Soft rules
@@ -403,10 +384,11 @@ private:
 
 } // namespace
 
-void st::addHardRules(LintEngine &Eng) {
-  Eng.addRule(std::make_unique<IdRangeRule>());
-  Eng.addRule(std::make_unique<LockDisciplineRule>());
-  Eng.addRule(std::make_unique<ThreadLifecycleRule>());
+HardRules &st::addHardRules(LintEngine &Eng) {
+  auto Rule = std::make_unique<HardRules>();
+  HardRules &Ref = *Rule;
+  Eng.addRule(std::move(Rule));
+  return Ref;
 }
 
 void st::addSoftRules(LintEngine &Eng) {

@@ -82,17 +82,19 @@ void runWorker(const LoadgenOptions &Opts, const ServeAddress &Addr,
           O.ErrorBytes += F.Payload;
       };
     serve::Client Conn(std::move(Capture));
-    if (Conn.connect(Addr, Opts.RecvTimeoutSeconds)) {
+    bool Connected = Conn.connect(Addr, Opts.RecvTimeoutSeconds);
+    if (Connected)
       Conn.sendHello(Hello);
-      // Sleep to the scheduled instant; measure from it even when late.
-      uint64_t Now = elapsedNs(Start);
-      if (Now < NextNs)
-        std::this_thread::sleep_for(std::chrono::nanoseconds(NextNs - Now));
-      else if (Now - NextNs > LateSendToleranceNs)
-        ++WS.LateSends;
-      if (Conn.sendEvents(Payload.Bytes, Opts.ChunkBytes))
-        WS.BytesSent += Payload.Bytes.size();
-    }
+    // Sleep to the scheduled instant; measure from it even when late. A
+    // failed connect waits too, so against a dead server the schedule
+    // stays open-loop instead of spinning through every request at once.
+    uint64_t Now = elapsedNs(Start);
+    if (Now < NextNs)
+      std::this_thread::sleep_for(std::chrono::nanoseconds(NextNs - Now));
+    else if (Connected && Now - NextNs > LateSendToleranceNs)
+      ++WS.LateSends;
+    if (Connected && Conn.sendEvents(Payload.Bytes, Opts.ChunkBytes))
+      WS.BytesSent += Payload.Bytes.size();
     serve::ClientOutcome R = Conn.finish();
 
     O.Ok = R.completed();

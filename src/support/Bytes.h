@@ -164,6 +164,20 @@ public:
   /// Total bytes consumed so far.
   uint64_t bytesRead() const { return Consumed; }
 
+  /// The buffered, not yet consumed bytes: window()[0, buffered()). Lets
+  /// a decoder parse a whole record in place, with one bounds check up
+  /// front instead of one per byte. Never refills.
+  const uint8_t *window() const {
+    return reinterpret_cast<const uint8_t *>(Buf.data()) + Pos;
+  }
+  size_t buffered() const { return Len - Pos; }
+
+  /// Consumes \p N bytes of the window (\p N <= buffered()).
+  void consume(size_t N) {
+    Pos += N;
+    Consumed += N;
+  }
+
 private:
   bool refill();
 

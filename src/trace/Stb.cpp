@@ -11,15 +11,7 @@
 
 using namespace st;
 
-namespace {
-
-// Opcode byte layout (docs/trace-format.md).
-constexpr uint8_t KindMask = 0x07;
-constexpr uint8_t HasSiteBit = 0x08;
-constexpr uint8_t SameTidBit = 0x10;
-constexpr uint8_t ReservedMask = 0xe0;
-
-} // namespace
+using namespace st::stb;
 
 bool StbWriter::writeHeader(const StbHeader &H) {
   char Buf[sizeof(StbMagic) + 6 * MaxVarintBytes];
@@ -55,13 +47,12 @@ bool StbWriter::writeEvent(const Event &E) {
   return Sink.write(Buf, N);
 }
 
-uint64_t StbReader::bytesConsumed() const { return Bytes.bytesRead(); }
-
 int StbReader::fail(const std::string &Msg) {
   char Buf[48];
   std::snprintf(Buf, sizeof(Buf), " (at byte %llu)",
                 static_cast<unsigned long long>(Bytes.bytesRead()));
   ErrorMsg = Msg + Buf;
+  FastLimit = Count; // the fast tier never decodes past a failure
   return -1;
 }
 
@@ -81,10 +72,11 @@ bool StbReader::readHeader() {
       return false;
     }
   HeaderDone = true;
+  FastLimit = Header.EventCount ? Header.EventCount : UINT64_MAX;
   return true;
 }
 
-int StbReader::next(Event &E) {
+int StbReader::nextBytewise(Event &E) {
   if (!ErrorMsg.empty())
     return -1;
   if (!HeaderDone && !readHeader())

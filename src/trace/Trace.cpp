@@ -6,8 +6,6 @@
 
 #include "trace/Trace.h"
 
-#include "lint/Lint.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -70,18 +68,18 @@ void Trace::computeStats() {
   }
 }
 
-WellFormedChecker::WellFormedChecker() : Eng(std::make_unique<LintEngine>()) {
-  addHardRules(*Eng);
-}
+WellFormedChecker::WellFormedChecker()
+    : Eng(std::make_unique<LintEngine>()), Hard(&addHardRules(*Eng)) {}
 
 WellFormedChecker::~WellFormedChecker() = default;
 WellFormedChecker::WellFormedChecker(WellFormedChecker &&) noexcept = default;
 WellFormedChecker &
 WellFormedChecker::operator=(WellFormedChecker &&) noexcept = default;
 
-bool WellFormedChecker::check(const Event &E) {
+void WellFormedChecker::diagnose(const Event &E, uint32_t Line,
+                                 uint64_t Byte) {
+  Eng->setProvenance(Line, Byte);
   Eng->processEvent(E);
-  return !Eng->hasErrors();
 }
 
 bool WellFormedChecker::failed() const { return Eng->hasErrors(); }
@@ -93,13 +91,13 @@ const std::string &WellFormedChecker::error() const {
 }
 
 bool Trace::validate(std::string *Error) const {
-  LintEngine Eng;
-  addHardRules(Eng);
-  Eng.processBatch(Events.data(), Events.size());
-  if (!Eng.hasErrors())
+  WellFormedChecker Checker;
+  for (const Event &E : Events)
+    Checker.check(E);
+  if (!Checker.failed())
     return true;
   if (Error)
-    *Error = Eng.summaryString();
+    *Error = Checker.error();
   return false;
 }
 
@@ -177,12 +175,11 @@ Trace TraceBuilder::build() const {
   Trace Tr(Events);
   // Builder traces are authored by hand (tests, examples); an ill-formed
   // one is a bug at the construction site, diagnosed in every build type.
-  LintEngine Eng;
-  addHardRules(Eng);
-  Eng.processBatch(Tr.events().data(), Tr.size());
-  if (Eng.hasErrors())
-    throw IllFormedTraceError("trace is not well formed: " +
-                                  Eng.summaryString(),
-                              Eng.diagnostics());
+  WellFormedChecker Checker;
+  for (const Event &E : Tr.events())
+    Checker.check(E);
+  if (Checker.failed())
+    throw IllFormedTraceError("trace is not well formed: " + Checker.error(),
+                              Checker.engine().diagnostics());
   return Tr;
 }

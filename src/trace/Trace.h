@@ -19,6 +19,7 @@
 #define SMARTTRACK_TRACE_TRACE_H
 
 #include "lint/Diagnostics.h"
+#include "lint/Lint.h"
 #include "trace/Event.h"
 
 #include <cstddef>
@@ -30,17 +31,17 @@
 
 namespace st {
 
-class LintEngine;
-
 /// Incremental well-formedness checker: feed events in trace order and any
 /// violation is diagnosed naming the offending event. A thin adapter over
-/// the lint engine's hard rule set (lint/Lint.h) — streaming event sources
+/// the lint engine's hard rule (lint/Lint.h) — streaming event sources
 /// run this online where a materialized Trace would call validate(), so
-/// every validation path shares one rule implementation. Unlike the
-/// pre-lint checker this does not latch: check() keeps accepting events
-/// after a violation (collecting further diagnostics, bounded by the
-/// engine's store cap) while returning false, so callers can stop
-/// *delivering* events yet still report every violation in the input.
+/// every validation path shares one rule implementation. A clean event
+/// costs one inline HardRules::step(); the engine, with the caller's
+/// provenance, runs only on events step() declines. Unlike the pre-lint
+/// checker this does not latch: check() keeps accepting events after a
+/// violation (collecting further diagnostics, bounded by the engine's
+/// store cap) while returning false, so callers can stop *delivering*
+/// events yet still report every violation in the input.
 class WellFormedChecker {
 public:
   /// Largest accepted thread id + 1. Ids are dense by construction
@@ -55,7 +56,15 @@ public:
   WellFormedChecker &operator=(WellFormedChecker &&) noexcept;
 
   /// Feeds one event; returns false once any violation has been seen.
-  bool check(const Event &E);
+  /// \p Line and \p Byte are the decoder's provenance for this event
+  /// (LintEngine::setProvenance; zero means unknown).
+  bool check(const Event &E, uint32_t Line = 0, uint64_t Byte = 0) {
+    if (Hard->step(E))
+      Eng->countCleanEvent();
+    else
+      diagnose(E, Line, Byte);
+    return !Eng->hasErrors();
+  }
 
   bool failed() const;
 
@@ -63,12 +72,16 @@ public:
   /// listed, "... and N more" beyond that). Empty while failed() is false.
   const std::string &error() const;
 
-  /// The underlying engine, for provenance wiring and diagnostic access.
+  /// The underlying engine, for diagnostic access.
   LintEngine &engine() { return *Eng; }
   const LintEngine &engine() const { return *Eng; }
 
 private:
+  /// The engine path for an event step() declined.
+  void diagnose(const Event &E, uint32_t Line, uint64_t Byte);
+
   std::unique_ptr<LintEngine> Eng;
+  HardRules *Hard; // owned by *Eng
   mutable std::string ErrorMsg; // cached rendering of engine diagnostics
 };
 

@@ -1,6 +1,7 @@
 //===- tests/lint/LintEngineTest.cpp - Lint engine and rule units ---------===//
 
 #include "lint/Lint.h"
+#include "support/Rng.h"
 #include "trace/Trace.h"
 
 #include <gtest/gtest.h>
@@ -285,6 +286,118 @@ TEST(LintTraceTest, HardOnlySkipsSoftRules) {
   Trace Tr = TraceBuilder().acq(0, 0).rel(0, 0).build(); // empty CS
   EXPECT_TRUE(lintTrace(Tr, /*SoftRules=*/false).empty());
   EXPECT_FALSE(lintTrace(Tr, /*SoftRules=*/true).empty());
+}
+
+/// A random event over small id spaces (threads 0-5, locks 0-2), so
+/// re-acquires of held locks, releases of another thread's lock, runs
+/// after a join, self forks and joins, double joins and forks of started
+/// threads all occur; about one event in twenty carries an out-of-range
+/// id instead.
+Event randomEvent(Rng &R) {
+  const uint32_t Max = LintEngine::MaxCheckableIds;
+  ThreadId T = static_cast<ThreadId>(R.nextBelow(6));
+  uint32_t Small = static_cast<uint32_t>(R.nextBelow(3));
+  switch (R.nextBelow(20)) {
+  case 0:
+  case 1:
+  case 2:
+  case 3:
+  case 4: {
+    SiteId Site = R.nextBool(0.2) ? InvalidId : Small;
+    return Event(R.nextBool(0.5) ? EventKind::Write : EventKind::Read, T,
+                 Small, Site);
+  }
+  case 5:
+    return Event(R.nextBool(0.5) ? EventKind::VolWrite : EventKind::VolRead,
+                 T, Small);
+  case 6:
+  case 7:
+  case 8:
+  case 9:
+    return Event(EventKind::Acquire, T, Small);
+  case 10:
+  case 11:
+  case 12:
+  case 13:
+    return Event(EventKind::Release, T, Small);
+  case 14:
+  case 15:
+    return Event(EventKind::Fork, T, static_cast<ThreadId>(R.nextBelow(6)));
+  case 16:
+  case 17:
+    return Event(EventKind::Join, T, static_cast<ThreadId>(R.nextBelow(6)));
+  case 18: {
+    // Out of range in one field: the thread, the target, or the site.
+    uint32_t Huge = R.nextBool(0.5) ? InvalidId - 1 : Max + Small;
+    EventKind K = static_cast<EventKind>(R.nextBelow(8));
+    switch (R.nextBelow(3)) {
+    case 0:
+      return Event(K, Huge, Small);
+    case 1:
+      return Event(K, T, Huge);
+    default:
+      return Event(EventKind::Read, T, Small, Huge);
+    }
+  }
+  default:
+    // In-range ids at the edge of the tables, so step() meets ids it has
+    // not sized for yet.
+    return Event(EventKind::Acquire, T, 3 + Small);
+  }
+}
+
+TEST(HardRulesTest, StepAgreesWithTheDiagnosticPath) {
+  // WellFormedChecker takes HardRules::step() and falls back to the
+  // engine only when step declines; the reference engine runs onEvent()
+  // on every event. Diagnostics must match field for field.
+  for (uint64_t Seed = 1; Seed <= 2000; ++Seed) {
+    Rng R(Seed);
+    WellFormedChecker Checker;
+    LintEngine Ref;
+    addHardRules(Ref);
+    for (uint32_t I = 0; I != 80; ++I) {
+      Event E = randomEvent(R);
+      uint64_t Byte = 3 * uint64_t(I) + 1;
+      Ref.setProvenance(I + 1, Byte);
+      Ref.processEvent(E);
+      ASSERT_EQ(Checker.check(E, I + 1, Byte), !Ref.hasErrors())
+          << "seed " << Seed << " event " << I;
+    }
+    const std::vector<LintDiagnostic> &Got = Checker.engine().diagnostics();
+    const std::vector<LintDiagnostic> &Want = Ref.diagnostics();
+    ASSERT_EQ(Got.size(), Want.size()) << "seed " << Seed;
+    for (size_t D = 0; D != Got.size(); ++D) {
+      EXPECT_EQ(Got[D].Code, Want[D].Code) << "seed " << Seed;
+      EXPECT_EQ(Got[D].Severity, Want[D].Severity) << "seed " << Seed;
+      EXPECT_EQ(Got[D].Message, Want[D].Message) << "seed " << Seed;
+      EXPECT_EQ(Got[D].EventIdx, Want[D].EventIdx) << "seed " << Seed;
+      EXPECT_EQ(Got[D].Tid, Want[D].Tid) << "seed " << Seed;
+      EXPECT_EQ(Got[D].Line, Want[D].Line) << "seed " << Seed;
+      EXPECT_EQ(Got[D].Byte, Want[D].Byte) << "seed " << Seed;
+    }
+    EXPECT_EQ(Checker.engine().eventsProcessed(), Ref.eventsProcessed());
+    if (HasFailure())
+      break;
+  }
+}
+
+TEST(HardRulesTest, DeclinedStepChangesNothing) {
+  LintEngine Eng;
+  HardRules &Hard = addHardRules(Eng);
+  Eng.processEvent(Event(EventKind::Acquire, 0, 0)); // sizes the tables
+  Eng.processEvent(Event(EventKind::Write, 1, 0));
+  EXPECT_FALSE(Hard.step(Event(EventKind::Acquire, 1, 0))) << "held";
+  EXPECT_FALSE(Hard.step(Event(EventKind::Release, 1, 0))) << "not owner";
+  EXPECT_FALSE(Hard.step(Event(EventKind::Fork, 0, 1))) << "already ran";
+  EXPECT_FALSE(Hard.step(Event(EventKind::Join, 1, 1))) << "self join";
+  EXPECT_FALSE(Hard.step(Event(EventKind::Read, 0, 0, 1u << 30)))
+      << "site out of range";
+  // None of the declined steps took effect: T0 still holds m0, T1 may
+  // still run.
+  EXPECT_TRUE(Hard.step(Event(EventKind::Release, 0, 0)));
+  EXPECT_TRUE(Hard.step(Event(EventKind::Join, 0, 1)));
+  EXPECT_FALSE(Hard.step(Event(EventKind::Write, 1, 0))) << "joined";
+  EXPECT_EQ(Eng.errorCount(), 0u);
 }
 
 } // namespace

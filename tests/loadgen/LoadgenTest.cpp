@@ -319,7 +319,9 @@ TEST(Loadgen, RejectsBrokenConfigurations) {
 TEST(Loadgen, FailedConnectsStillReachTheHook) {
   // Nothing listens on the path, so every connect fails: each request
   // is still one counted error and one hook call, which is what lets a
-  // caller's per-request records close against Requests.
+  // caller's per-request records close against Requests. Each failure
+  // is recorded at its scheduled instant, not ahead of it, so the run
+  // lasts until the last one.
   char Path[96];
   std::snprintf(Path, sizeof(Path), "/tmp/st_loadgen_dead_%d.sock",
                 static_cast<int>(::getpid()));
@@ -341,6 +343,23 @@ TEST(Loadgen, FailedConnectsStillReachTheHook) {
   EXPECT_EQ(Report.Errors, Report.Requests);
   EXPECT_EQ(Calls.load(), Report.Requests);
   EXPECT_EQ(Failed.load(), Report.Requests);
+
+  // Replay the workers' arrival schedules: every scheduled instant is one
+  // request, and the run cannot end before the last of them.
+  const uint64_t DurationNs =
+      static_cast<uint64_t>(Opts.DurationSeconds * 1e9);
+  uint64_t Scheduled = 0, LastNs = 0;
+  for (unsigned W = 0; W != Opts.Connections; ++W) {
+    ExpArrivals Arrivals(arrivalSeed(Opts.Seed, W), meanArrivalGapNs(Opts));
+    for (uint64_t At = Arrivals.nextGapNs(); At <= DurationNs;
+         At += Arrivals.nextGapNs()) {
+      ++Scheduled;
+      LastNs = std::max(LastNs, At);
+    }
+  }
+  EXPECT_EQ(Report.Requests, Scheduled);
+  EXPECT_GE(Report.WallSeconds * 1e9, static_cast<double>(LastNs))
+      << "failed connects were recorded ahead of their instants";
 }
 
 } // namespace

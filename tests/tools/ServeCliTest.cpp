@@ -128,6 +128,15 @@ TEST(ServeCli, StdinUploadWorksLikeAFile) {
   EXPECT_NE(R.Output.find("\"type\":\"race\""), std::string::npos) << R.Output;
 }
 
+TEST(ServeCli, StdinReadFailureNamesStdin) {
+  // A directory opens for reading but every read fails (EISDIR).
+  RunResult R = runCommand(servedRun("< /"));
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_EQ(R.Output.find("(null)"), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("read failed: <stdin>"), std::string::npos)
+      << R.Output;
+}
+
 TEST(ServeCli, StrictRejectionExitsOneWithDiagnostics) {
   RunResult R = runCommand(servedRun("--validate=strict " +
                                      trace("bad/err_multi.trace")));

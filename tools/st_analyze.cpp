@@ -927,7 +927,8 @@ int runConnect(const Options &Opts) {
     }
     ReadFailed = std::ferror(In);
     if (ReadFailed)
-      std::fprintf(stderr, "error: read failed: %s\n", Opts.Path);
+      std::fprintf(stderr, "error: read failed: %s\n",
+                   UseStdin ? "<stdin>" : Opts.Path);
   }
   serve::ClientOutcome Out = Conn.finish(/*SendEos=*/!ReadFailed);
   if (!Out.Error.empty())
